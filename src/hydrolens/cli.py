@@ -14,7 +14,7 @@ import sys
 from .free_schmidt import schmidt_spread
 from .gaussian_ppt import detection_map, ppt_closed_form, ppt_numeric
 from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum
-from .linear_entropy import linear_entropy, radial_sum
+from .linear_entropy import linear_entropy
 from .moments import relative_moments
 from .oracle import integrate_momentum, integrate_theta
 from .specfun import spherical_harmonic_sq

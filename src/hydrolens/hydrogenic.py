@@ -105,15 +105,17 @@ def radial_momentum(qn: QuantumNumbers, a0: float, k):
     n, l = qn.n, qn.l
     u = (n * a0 * k) ** 2
     x = (u - 1.0) / (u + 1.0)
-    pref = (
-        math.sqrt(2.0 / math.pi * factorial(n - l - 1) / factorial(n + l))
-        * n ** 2
-        * 2.0 ** (2 * l + 2)
-        * factorial(l)
-        * a0 ** 1.5
-    )
+    # Built in log space: (n+l)! overflows a float from n+l = 171 on.
+    pref = math.exp(
+        0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
+        + 2.0 * math.log(n)
+        + (2 * l + 2) * math.log(2.0)
+        + math.lgamma(l + 1)
+    ) * a0 ** 1.5
     geg = np.vectorize(lambda xx: gegenbauer(l + 1, n - l - 1, xx))(x)
-    out = pref * (n * a0 * k) ** l / (u + 1.0) ** (l + 2) * geg
+    # (n a0 k)^l / (u+1)^(l+2), grouped so that no power overflows: the base
+    # n a0 k / (u+1) never exceeds 1/2.
+    out = pref * (n * a0 * k / (u + 1.0)) ** l / (u + 1.0) ** 2 * geg
     return out if out.ndim else float(out)
 
 

@@ -1,11 +1,12 @@
-"""Closed-form linear entropy of a free hydrogenic eigenstate.
+"""Linear entropy of a free hydrogenic eigenstate.
 
 S_lin = 1 - (product / V) where product = I_ang * I_rad factorizes the
-momentum-space purity integral into an angular Wigner-3j sum and a radial
-Gegenbauer-expansion sum whose bracket terms involve 3F2 values at unit
-argument.  Reported for completeness only: the linear entropy carries no
-operational meaning as an entanglement quantifier for these continuous
-states (it tends to 1 for every eigenstate as V -> infinity).
+momentum-space purity integral.  The angular factor I_ang is an exact
+Wigner-3j sum; the radial factor I_rad = int k^2 F^4 dk comes from a
+Gauss-Chebyshev rule that is exact for its polynomial integrand.  Reported
+for completeness only: the linear entropy carries no operational meaning as
+an entanglement quantifier for these continuous states (it tends to 1 for
+every eigenstate as V -> infinity).
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .hydrogenic import QuantumNumbers
-from .specfun import hyp3f2_unit, pochhammer, wigner3j
+import numpy as np
+
+from .hydrogenic import QuantumNumbers, radial_momentum
+from .specfun import wigner3j
 
 
 @dataclass(frozen=True)
@@ -53,70 +55,24 @@ def angular_sum(l: int, m: int) -> float:
     return float(total) / (4.0 * math.pi)
 
 
-@lru_cache(maxsize=None)
-def _bracket(l: int, gamma: int) -> float:
-    """The gamma-indexed bracket of the radial sum (depends on a+b+c+d only)."""
-    g = Fraction(gamma)
-    term_gamma = math.exp(
-        (4 * l + gamma + 6) * math.log(2.0)
-        + math.lgamma(2 * l + 1.5)
-        + math.lgamma(2 * l + gamma + 6.5)
-        - math.lgamma(4 * l + gamma + 8)
-    )
-    term_f1 = hyp3f2_unit(
-        (Fraction(1, 2), Fraction(1), Fraction(-2 * l) - Fraction(1, 2)),
-        (g / 2 + Fraction(7, 2), g / 2 + 4),
-    ) / (gamma + 6)
-    term_f2 = (gamma + 5) * hyp3f2_unit(
-        (Fraction(1), -g / 2 - 2, -g / 2 - Fraction(3, 2)),
-        (Fraction(3, 2), Fraction(2 * l) + Fraction(5, 2)),
-    ) / (4 * l + 3)
-    return term_gamma + term_f1 + term_f2
-
-
-def _expansion_weights(n: int, l: int) -> list[Fraction]:
-    """Weights W(gamma) = sum_{a+b+c+d=gamma} g_a g_b g_c g_d where the g_k
-    are the (1-x)^k expansion coefficients of C^{l+1}_{n-l-1} divided by the
-    common binomial prefactor (which is pulled into the radial prefactor)."""
-    nn = n - l - 1
-    g = [
-        Fraction(math.comb(nn, k)) * pochhammer(n + l + 1, k) / pochhammer(Fraction(2 * l + 3, 2), k)
-        * Fraction(-1, 2) ** k
-        for k in range(nn + 1)
-    ]
-    # Fourth power of the polynomial sum g_k s^k by repeated convolution.
-    w = [Fraction(1)]
-    for _ in range(4):
-        out = [Fraction(0)] * (len(w) + len(g) - 1)
-        for i, wi in enumerate(w):
-            if wi == 0:
-                continue
-            for j, gj in enumerate(g):
-                out[i + j] += wi * gj
-        w = out
-    return w
-
-
 def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     """I_rad = int_0^inf k^2 F_nl(k)^4 dk in units a0^3.
 
-    The quadruple (a, b, c, d) sum collapses to a single sum over
-    gamma = a+b+c+d because the bracket depends on gamma only; the multinomial
-    weights come from the fourth power of the expansion polynomial.
+    Under x = (u-1)/(u+1), u = (n a0 k)^2, the integrand k^2 F^4 dk becomes
+    sqrt(1-x^2) times a polynomial of degree 4n+1 in x, so the N = 2n+1 node
+    Gauss-Chebyshev rule of the second kind is exact up to rounding.  Its
+    weights are all positive, so nothing cancels.
     """
     if not (0 <= l < n):
         raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
-    pref = (
-        (2.0 / math.pi * math.factorial(n - l - 1) / math.factorial(n + l)) ** 2
-        * math.factorial(l) ** 4
-        * 2.0 ** (4 * l)
-        * n ** 5
-        * a0 ** 3
-        * math.comb(n + l, n - l - 1) ** 4
-    )
-    total = sum(float(w) * _bracket(l, gamma)
-                for gamma, w in enumerate(_expansion_weights(n, l)))
-    return pref * total
+    nodes = 2 * n + 1
+    theta = np.arange(1, nodes + 1) * (math.pi / (nodes + 1))
+    x, s = np.cos(theta), np.sin(theta)
+    k = np.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
+    f = radial_momentum(QuantumNumbers(n, l), a0, k)
+    # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
+    poly = k ** 3 * f ** 4 / s ** 3
+    return math.pi / (nodes + 1) * float(np.dot(s * s, poly))
 
 
 def linear_entropy(qn: QuantumNumbers, a0: float = 1.0) -> LinearEntropyResult:

@@ -28,17 +28,6 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
-def pochhammer(a, k: int) -> Fraction:
-    """Rising factorial (a)_k = a (a+1) ... (a+k-1), exact for rational a."""
-    if k < 0:
-        raise ValueError(f"pochhammer order must be >= 0, got {k}")
-    out = Fraction(1)
-    a = Fraction(a)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
 def laguerre_assoc(p: int, q_minus_p: int, x: float) -> float:
     """Associated Laguerre polynomial L^p_{q-p}(x), Rodrigues-style convention.
 
@@ -261,65 +250,3 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> ExactSqrt:
     if c == 0:
         return ExactSqrt.ZERO
     return ExactSqrt(c, rad)
-
-
-# ---------------------------------------------------------------------------
-# Generalized hypergeometric 3F2 at unit argument
-# ---------------------------------------------------------------------------
-
-_MAX_TERMS = 10 ** 6
-
-
-def _is_nonpositive_integer(a: Fraction) -> bool:
-    return a.denominator == 1 and a.numerator <= 0
-
-
-def hyp3f2_unit_exact(num, den) -> Fraction:
-    """Exact rational value of a *terminating* 3F2(...; 1) series."""
-    a1, a2, a3 = (Fraction(a) for a in num)
-    b1, b2 = (Fraction(b) for b in den)
-    stops = [-int(a) for a in (a1, a2, a3) if _is_nonpositive_integer(a)]
-    if not stops:
-        raise ValueError("series does not terminate; no non-positive integer numerator parameter")
-    kmax = min(stops)
-    term = Fraction(1)
-    total = Fraction(1)
-    for k in range(kmax):
-        term *= (a1 + k) * (a2 + k) * (a3 + k)
-        term /= (b1 + k) * (b2 + k) * (k + 1)
-        total += term
-    return total
-
-
-def hyp3f2_unit(num, den, tol: float = 1e-14) -> float:
-    """3F2(a1, a2, a3; b1, b2; 1), summed to relative tolerance tol.
-
-    Terminating series (a numerator parameter a non-positive integer) are
-    summed exactly in rational arithmetic.  Otherwise the series must satisfy
-    b1 + b2 > a1 + a2 + a3 for convergence.
-    """
-    a1, a2, a3 = (Fraction(a) for a in num)
-    b1, b2 = (Fraction(b) for b in den)
-    for b in (b1, b2):
-        if _is_nonpositive_integer(b):
-            raise ValueError(f"denominator parameter {b} is a non-positive integer")
-    if any(_is_nonpositive_integer(a) for a in (a1, a2, a3)):
-        return float(hyp3f2_unit_exact(num, den))
-    excess = (b1 + b2) - (a1 + a2 + a3)
-    if excess <= 0:
-        raise ValueError(f"non-convergent parameters: sum(den) - sum(num) = {excess} <= 0")
-    fa1, fa2, fa3, fb1, fb2 = map(float, (a1, a2, a3, b1, b2))
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_TERMS):
-        term *= (fa1 + k) * (fa2 + k) * (fa3 + k) / ((fb1 + k) * (fb2 + k) * (k + 1.0))
-        total += term
-        if abs(term) <= tol * abs(total):
-            return total
-    # Cap hit: the tail of the slowly converging series is close to geometric
-    # in the term ratio, so extrapolate it rather than truncate silently.
-    k = float(_MAX_TERMS)
-    ratio = (fa1 + k) * (fa2 + k) * (fa3 + k) / ((fb1 + k) * (fb2 + k) * (k + 1.0))
-    if 0.0 < ratio < 1.0:
-        return total + term * ratio / (1.0 - ratio)
-    raise ValueError("3F2 series failed to converge within the term cap")

@@ -164,13 +164,20 @@ def test_criterion_8_linear_entropy():
     ground = linear_entropy(QuantumNumbers(1, 0, 0))
     ok = abs(ground.product - 33.0 / (16.0 * math.pi ** 2)) \
         <= 1e-10 * 33.0 / (16.0 * math.pi ** 2)
-    for qn in states(3, with_m=True):
-        rad, _ = integrate_momentum(
+    # Every state with n <= 12.  The radial quadrature depends on (n, l) only
+    # and the angular one on (l, |m|) only, so each is computed once.
+    rad = {}
+    for qn in states(12):
+        rad[qn.n, qn.l], _ = integrate_momentum(
             lambda k: k * k * radial_momentum(qn, 1.0, k) ** 4, qn.n, 1.0)
-        ang = 2 * math.pi * integrate_theta(
-            lambda t: math.sin(t) * spherical_harmonic_sq(qn.l, qn.m, t) ** 2)
+    ang = {}
+    for l in range(12):
+        for m in range(l + 1):
+            ang[l, m] = 2 * math.pi * integrate_theta(
+                lambda t: math.sin(t) * spherical_harmonic_sq(l, m, t) ** 2)
+    for qn in states(12, with_m=True):
         closed = linear_entropy(qn).product
-        ok &= abs(closed - rad * ang) <= 1e-6 * closed
+        ok &= abs(closed - rad[qn.n, qn.l] * ang[qn.l, abs(qn.m)]) <= 1e-10 * closed
     report(8, "linear entropy closed form", ok)
 
 

@@ -147,6 +147,12 @@ def test_linent_ground_state():
     assert "S_lin -> 1 (V -> infinity)" in res.stdout
 
 
+def test_linent_excited_state():
+    res = run_cli("linent", "--n", "10")
+    assert res.returncode == 0
+    assert "I_rad = 93503.5  (units a0^3)" in res.stdout
+
+
 def test_linent_finite_volume():
     res = run_cli("linent", "--n", "1", "--l", "0", "--m", "0", "--a0", "1",
                   "--volume", "10")

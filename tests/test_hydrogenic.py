@@ -82,6 +82,14 @@ def test_momentum_normalization():
         assert math.isclose(val, 1.0, rel_tol=1e-10), qn
 
 
+def test_momentum_normalization_past_factorial_overflow():
+    # (n+l)! = 171! does not fit a float; the prefactor must not need it.
+    qn = QuantumNumbers(86, 85, 0)
+    val, _ = integrate_momentum(
+        lambda k: k * k * radial_momentum(qn, 1.0, k) ** 2, qn.n, 1.0)
+    assert math.isclose(val, 1.0, rel_tol=1e-8)
+
+
 def test_momentum_scaling_in_a0():
     # F carries a0^{3/2} against the dimensionless combination a0 k.
     qn = QuantumNumbers(3, 1, 0)

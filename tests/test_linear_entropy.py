@@ -48,11 +48,13 @@ def test_angular_sum_even_in_m():
 
 
 def test_radial_sum_matches_quadrature():
-    for n in range(1, 5):
-        for l in range(n):
-            closed = radial_sum(n, l)
-            quad = _radial_quadrature(n, l)
-            assert math.isclose(closed, quad, rel_tol=1e-6), (n, l)
+    # Every (n, l) with n <= 12, plus spot states; (150, 149) has n+l > 170,
+    # where (n+l)! and (n a0 k)^l overflow a float.
+    pairs = [(n, l) for n in range(1, 13) for l in range(n)]
+    for n, l in pairs + [(40, 0), (40, 39), (150, 149)]:
+        closed = radial_sum(n, l)
+        quad = _radial_quadrature(n, l)
+        assert math.isclose(closed, quad, rel_tol=1e-10), (n, l)
 
 
 def test_full_product_matches_quadrature():
@@ -62,7 +64,7 @@ def test_full_product_matches_quadrature():
                 closed = linear_entropy(QuantumNumbers(n, l, m)).product
                 quad = _radial_quadrature(n, l) * _angular_quadrature(l, m)
                 assert closed > 0 and math.isfinite(closed)
-                assert math.isclose(closed, quad, rel_tol=1e-6), (n, l, m)
+                assert math.isclose(closed, quad, rel_tol=1e-10), (n, l, m)
 
 
 def test_radial_sum_is_m_independent():

@@ -6,11 +6,8 @@ import pytest
 from hydrolens.specfun import (
     ExactSqrt,
     gegenbauer,
-    hyp3f2_unit,
-    hyp3f2_unit_exact,
     laguerre_assoc,
     legendre_assoc,
-    pochhammer,
     spherical_harmonic_sq,
     three_j_selection_rules_ok,
     wigner3j,
@@ -92,14 +89,6 @@ def test_gegenbauer_invalid_args():
         gegenbauer(1.0, -1, 0.5)
 
 
-def test_pochhammer():
-    assert pochhammer(3, 4) == Fraction(3 * 4 * 5 * 6)
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
-    assert pochhammer(5, 0) == 1
-    with pytest.raises(ValueError):
-        pochhammer(1, -1)
-
-
 def test_exact_sqrt_algebra():
     a = ExactSqrt(Fraction(1, 2), Fraction(2))
     b = ExactSqrt(Fraction(1, 4), Fraction(8))
@@ -136,36 +125,3 @@ def test_wigner3j_selection_violation_is_zero():
     assert wigner3j(1, 1, 2, 1, 1, 1) == ExactSqrt.ZERO
     with pytest.raises(ValueError):
         wigner3j(-1, 1, 2, 0, 0, 0)
-
-
-def test_hyp3f2_terminating_exact():
-    # 3F2(1, -2, -3/2; 3/2, 5/2; 1) = 1 + 2/5*3/2 + (2*1/5)*(3*1/14)... = 323/175
-    val = hyp3f2_unit_exact(
-        (Fraction(1), Fraction(-2), Fraction(-3, 2)), (Fraction(3, 2), Fraction(5, 2)))
-    assert val == Fraction(323, 175)
-    assert math.isclose(
-        hyp3f2_unit((Fraction(1), Fraction(-2), Fraction(-3, 2)),
-                    (Fraction(3, 2), Fraction(5, 2))),
-        323 / 175, rel_tol=1e-15)
-
-
-def test_hyp3f2_non_terminating_converges():
-    # 2F1-reducible sanity point: 3F2(a, b, c; d, c; 1) = 2F1(a, b; d; 1)
-    # = Gamma(d) Gamma(d-a-b) / (Gamma(d-a) Gamma(d-b)).
-    a, b, d = 0.5, 1.0, 4.0
-    expect = math.gamma(d) * math.gamma(d - a - b) / (math.gamma(d - a) * math.gamma(d - b))
-    got = hyp3f2_unit((Fraction(1, 2), Fraction(1), Fraction(5, 2)),
-                      (Fraction(4), Fraction(5, 2)))
-    # Term-level tolerance leaves a slowly decaying tail: allow 1e-9 here.
-    assert math.isclose(got, expect, rel_tol=1e-9)
-
-
-def test_hyp3f2_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        hyp3f2_unit((Fraction(1), Fraction(2), Fraction(3)), (Fraction(0), Fraction(5)))
-    with pytest.raises(ValueError):
-        # sum(den) - sum(num) <= 0: divergent
-        hyp3f2_unit((Fraction(2), Fraction(2), Fraction(2)), (Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        hyp3f2_unit_exact((Fraction(1, 2), Fraction(1), Fraction(3)),
-                          (Fraction(2), Fraction(5)))
