@@ -185,13 +185,15 @@ def _verify_checks(n_max: int, perturb: float):
     yield "eigenvalue pipeline", ok
 
     ok = True
-    for qn in zero_m:
-        rad, _ = integrate_momentum(
-            lambda k: k * k * radial_momentum(qn, a0, k) ** 4, qn.n, a0)
+    rad = {}
+    for qn in states:
+        if (qn.n, qn.l) not in rad:
+            rad[qn.n, qn.l], _ = integrate_momentum(
+                lambda k: k * k * radial_momentum(qn, a0, k) ** 4, qn.n, a0)
         ang = 2.0 * math.pi * integrate_theta(
             lambda t: math.sin(t) * spherical_harmonic_sq(qn.l, qn.m, t) ** 2)
         closed = linear_entropy(qn, a0).product
-        ok &= abs(rad * ang - closed) <= 1e-6 * closed
+        ok &= abs(rad[qn.n, qn.l] * ang - closed) <= 1e-10 * closed
     yield "linear entropy", ok
 
 

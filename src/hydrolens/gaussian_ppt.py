@@ -7,21 +7,22 @@ when a symplectic eigenvalue of the partial transpose is strictly below 1;
 exact equality classifies as not detected.
 
 The numeric pipeline (build covariance -> partial transpose -> eigensolve) is
-the production path for arbitrary physical covariance matrices; the closed
-forms are its analytic counterpart and the test oracle.
+the production path for arbitrary physical covariance matrices.  For the
+localized state the six eigenvalues have a closed form in the ratio a0/b; it
+gives the point verdict, the detection map (the whole grid as one array) and
+the blind band, and is the numeric pipeline's test oracle.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hydrogenic import QuantumNumbers
-from .moments import MomentSet, moment_set, relative_moments
+from .moments import MomentSet, com_moments, moment_set, relative_moments
 
 PARTICLE = "particle"
 DECOUPLED = "decoupled"
@@ -143,24 +144,24 @@ def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=tuple(sorted(nu)))
 
 
-def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
-    """Closed-form symplectic eigenvalues of the partial transpose.
+def _nu(qn: QuantumNumbers, a0_over_b):
+    """The six symplectic eigenvalues of the partial transpose, in closed form.
 
     nu_1 = sqrt(<x^2> <P_X^2>), nu_2 = 4 sqrt(<X^2> <p_x^2>), and likewise for
     the y (degenerate with x) and z pairs, with all variances dimensionless.
+    a0_over_b may be a float or a numpy array; each nu has its shape.
     """
-    if a0_over_b <= 0:
-        raise ValueError(f"a0/b ratio must be positive, got {a0_over_b}")
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
-    X2 = 0.5 / (a0_over_b * a0_over_b)
-    P2 = 0.5 * a0_over_b * a0_over_b
-    nu1 = math.sqrt(x2 * P2)
-    nu2 = 4.0 * math.sqrt(X2 * px2)
-    nu3 = math.sqrt(y2 * P2)
-    nu4 = 4.0 * math.sqrt(X2 * py2)
-    nu5 = math.sqrt(z2 * P2)
-    nu6 = 4.0 * math.sqrt(X2 * pz2)
-    return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=(nu1, nu2, nu3, nu4, nu5, nu6))
+    X2, P2 = com_moments(a0_over_b)
+    return (np.sqrt(x2 * P2), 4.0 * np.sqrt(X2 * px2),
+            np.sqrt(y2 * P2), 4.0 * np.sqrt(X2 * py2),
+            np.sqrt(z2 * P2), 4.0 * np.sqrt(X2 * pz2))
+
+
+def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
+    """Closed-form symplectic eigenvalues of the partial transpose at one ratio."""
+    nu = tuple(float(v) for v in _nu(qn, a0_over_b))
+    return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=nu)
 
 
 def _thread_cap() -> int:
@@ -178,60 +179,38 @@ def _thread_cap() -> int:
 
 def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
                   b_range: tuple[float, float], points: int):
-    """Row-major grid of PPT verdicts over (a0, b) pairs.
+    """Row-major grid of PPT verdicts over (a0, b) pairs, a0 outer and b inner.
 
-    Returns a list of (a0, b, nu1, nu2, nu5, nu6, min_nu, detected) tuples;
-    every value depends on a0 and b only through the ratio a0/b.  Grid cells
-    are independent and may be evaluated concurrently (capped by the
-    HYDROLENS_THREADS environment variable); output order is deterministic.
+    Returns a list of (a0, b, nu1, nu2, nu5, nu6, min_nu, detected) tuples of
+    Python floats and a bool; every value depends on a0 and b only through
+    the ratio a0/b.  Each row equals ppt_closed_form at that cell.
+    HYDROLENS_THREADS is still validated but has no effect.
     """
     if points < 2:
         raise ValueError(f"grid resolution must be >= 2, got {points}")
     if min(a0_range) <= 0 or min(b_range) <= 0:
         raise ValueError("a0 and b ranges must be positive")
-    a0s = np.linspace(a0_range[0], a0_range[1], points)
-    bs = np.linspace(b_range[0], b_range[1], points)
-    cells = [(a0, b) for a0 in a0s for b in bs]
-
-    def cell(args):
-        a0, b = args
-        v = ppt_closed_form(qn, a0 / b)
-        return (a0, b, v.nu[0], v.nu[1], v.nu[4], v.nu[5], v.min_nu, v.detected)
-
-    workers = min(_thread_cap(), len(cells))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(cell, cells))
-    return [cell(c) for c in cells]
+    _thread_cap()  # validated only: the map has no thread pool
+    a0 = np.repeat(np.linspace(a0_range[0], a0_range[1], points), points)
+    b = np.tile(np.linspace(b_range[0], b_range[1], points), points)
+    nu = np.array(_nu(qn, a0 / b))
+    min_nu = nu.min(axis=0)
+    columns = (a0, b, nu[0], nu[1], nu[4], nu[5], min_nu, min_nu < 1.0)
+    return list(zip(*(c.tolist() for c in columns)))
 
 
-def blind_band_edges(qn: QuantumNumbers, lo: float = 1e-3, hi: float = 1e3,
-                     tol: float = 1e-12) -> tuple[float, float] | None:
-    """Ratio interval (if any) where min nu >= 1, located by bisection on the
-    two crossings of min nu through 1.  Returns None when no blind band exists.
+def blind_band_edges(qn: QuantumNumbers) -> tuple[float, float] | None:
+    """Ratio interval [lo, hi] of a0/b on which every nu >= 1 (not detected).
+
+    nu_q = sqrt(<q^2> <P_X^2>) >= 1 exactly when a0/b >= sqrt(2/<q^2>), and
+    nu_p = 4 sqrt(<X^2> <p^2>) >= 1 exactly when a0/b <= sqrt(8 <p^2>), so
+
+        lo = max_i sqrt(2/<q_i^2>),  hi = min_i sqrt(8 <p_i^2>)
+
+    over the axes i = x, y, z.  Returns None when lo >= hi: then some nu is
+    below 1 at every ratio.
     """
-    f = lambda r: ppt_closed_form(qn, r).min_nu - 1.0
-    # min nu -> 0 at both extremes of the ratio; search for an interior maximum.
-    ratios = np.geomspace(lo, hi, 4096)
-    vals = np.array([f(r) for r in ratios])
-    imax = int(np.argmax(vals))
-    if vals[imax] < 0:
-        return None
-
-    def bisect(a, b):
-        fa = f(a)
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = f(m)
-            if b - a < tol:
-                break
-            if (fa < 0) == (fm < 0):
-                a, fa = m, fm
-            else:
-                b = m
-        return 0.5 * (a + b)
-
-    left = bisect(ratios[max(imax - 1, 0)] if vals[max(imax - 1, 0)] < 0 else lo, ratios[imax])
-    right = bisect(ratios[imax], ratios[min(imax + 1, len(ratios) - 1)]
-                   if vals[min(imax + 1, len(ratios) - 1)] < 0 else hi)
-    return left, right
+    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    lo = math.sqrt(2.0 / min(x2, y2, z2))
+    hi = math.sqrt(8.0 * min(px2, py2, pz2))
+    return None if lo >= hi else (lo, hi)

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
 
 from .hydrogenic import QuantumNumbers
 
@@ -105,12 +108,14 @@ def angular_cos2(l: int, m: int) -> float:
     return float(val) / (2.0 * _PI)
 
 
+@lru_cache(maxsize=None)
 def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, float, float]:
     """Dimensionless (x2, y2, z2, px2, py2, pz2) for the relative coordinate.
 
     <x^2> = <y^2> = <r^2> * pi * angular_sin2 and <z^2> = <r^2> * 2 pi *
     angular_cos2, with <r^2> from the Kramer-Pasternack closed form; the
     momentum variances carry the same angular factors against <k^2> = 1/n^2.
+    Cached per state, so the exact rational arithmetic runs once.
     """
     l, m = qn.l, qn.m
     r2 = kramer_pasternack(qn, 2)
@@ -123,8 +128,9 @@ def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, fl
 def com_moments(a0_over_b: float) -> tuple[float, float]:
     """Dimensionless centre-of-mass variances (<X^2>, <P_X^2>), each shared by
     all three axes: b^2/(2 a0^2) and a0^2/(2 b^2).  Their product is exactly
-    1/4 (minimum-uncertainty Gaussian)."""
-    if a0_over_b <= 0:
+    1/4 (minimum-uncertainty Gaussian).  a0_over_b may be a float or a numpy
+    array; every entry must be positive."""
+    if np.any(np.asarray(a0_over_b) <= 0):
         raise ValueError(f"a0/b ratio must be positive, got {a0_over_b}")
     return 0.5 / (a0_over_b * a0_over_b), 0.5 * a0_over_b * a0_over_b
 

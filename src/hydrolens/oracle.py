@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.special import spherical_jn
 
 from .hydrogenic import QuantumNumbers, radial_position
 
@@ -137,6 +136,9 @@ def bessel_transform_radial(qn: QuantumNumbers, a0: float, k: float) -> float:
     negligible; chunk width follows the oscillation period pi/k when k
     dominates the decay scale.
     """
+    # Imported here, its only use, to keep scipy.special out of package import.
+    from scipy.special import spherical_jn
+
     if k < 0:
         raise ValueError("wavevector must be >= 0")
     l = qn.l

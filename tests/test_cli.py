@@ -17,6 +17,16 @@ def run_cli(*args, env_extra=None):
         capture_output=True, text=True, env=env)
 
 
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is needed only by the Bessel-transform oracle.
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hydrolens.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_schmidt_basic():
     res = run_cli("schmidt", "--n", "1", "--a0", "1")
     assert res.returncode == 0
