@@ -35,6 +35,14 @@ def _human(x: float) -> str:
     return format(x, ".6g")
 
 
+def _positive(text: str) -> float:
+    """argparse type for every positive float flag: finite and > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _quantum_numbers(parser: argparse.ArgumentParser, args) -> QuantumNumbers:
     try:
         return QuantumNumbers(n=args.n, l=args.l, m=args.m)
@@ -57,14 +65,10 @@ def _resolve_ratio(parser: argparse.ArgumentParser, args) -> float:
     if args.ratio is not None:
         if args.a0 is not None or args.b is not None:
             parser.error("--ratio conflicts with --a0/--b")
-        ratio = args.ratio
-    elif args.a0 is not None and args.b is not None:
-        ratio = args.a0 / args.b
-    else:
-        parser.error("supply --ratio, or both --a0 and --b")
-    if ratio <= 0:
-        parser.error(f"a0/b ratio must be positive, got {ratio}")
-    return ratio
+        return args.ratio
+    if args.a0 is not None and args.b is not None:
+        return args.a0 / args.b
+    parser.error("supply --ratio, or both --a0 and --b")
 
 
 def cmd_schmidt(parser, args) -> int:
@@ -83,7 +87,10 @@ def cmd_schmidt(parser, args) -> int:
 def cmd_ppt(parser, args) -> int:
     qn = _quantum_numbers(parser, args)
     ratio = _resolve_ratio(parser, args)
-    verdict = ppt_closed_form(qn, ratio)
+    try:
+        verdict = ppt_closed_form(qn, ratio)
+    except ValueError as exc:  # a0/b overflowed or underflowed
+        parser.error(str(exc))
     for i, nu in enumerate(verdict.nu, start=1):
         print(f"nu{i} = {_human(nu)}")
     print(f"min_nu = {_human(verdict.min_nu)}")
@@ -110,11 +117,10 @@ def _write_map(rows, fmt: str, stream) -> None:
 
 def cmd_map(parser, args) -> int:
     qn = _quantum_numbers(parser, args)
-    if args.points < 2:
-        parser.error(f"grid resolution must be >= 2, got {args.points}")
-    if min(args.a0_min, args.a0_max, args.b_min, args.b_max) <= 0:
-        parser.error("grid bounds must be positive")
-    rows = _map_rows(args, qn)
+    try:
+        rows = _map_rows(args, qn)
+    except ValueError as exc:  # too few points, or a0/b out of range
+        parser.error(str(exc))
     if args.output is None:
         _write_map(rows, args.format, sys.stdout)
         return EXIT_OK
@@ -129,22 +135,18 @@ def cmd_map(parser, args) -> int:
 
 def cmd_linent(parser, args) -> int:
     qn = _quantum_numbers(parser, args)
-    if args.a0 <= 0:
-        parser.error(f"a0 must be positive, got {args.a0}")
     res = linear_entropy(qn, args.a0)
     print(f"I_ang = {_human(res.i_ang)}")
     print(f"I_rad = {_human(res.i_rad)}  (units a0^3)")
     print(f"product = {_human(res.product)}  (units a0^3)")
     if args.volume is not None:
-        if args.volume <= 0:
-            parser.error(f"volume must be positive, got {args.volume}")
         print(f"S_lin = {_human(res.s_lin(args.volume))}  (V = {_human(args.volume)})")
     else:
         print("S_lin -> 1 (V -> infinity)")
     return EXIT_OK
 
 
-def _verify_checks(n_max: int, perturb: float):
+def _verify_checks(n_max: int):
     """Yield (name, ok) pairs for the oracle-vs-closed-form sweeps."""
     a0 = 1.0
     states = [QuantumNumbers(n, l, m)
@@ -157,7 +159,7 @@ def _verify_checks(n_max: int, perturb: float):
     for qn in zero_m:
         val, _ = integrate_momentum(
             lambda k: k * k * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
-        ok &= abs(val + perturb - 1.0) <= 1e-8
+        ok &= abs(val - 1.0) <= 1e-8
     yield "momentum normalization", ok
 
     ok = True
@@ -201,7 +203,7 @@ def cmd_verify(parser, args) -> int:
     if args.n_max < 1:
         parser.error(f"--n-max must be >= 1, got {args.n_max}")
     failures = 0
-    for name, ok in _verify_checks(args.n_max, args.perturb):
+    for name, ok in _verify_checks(args.n_max):
         print(f"{name}: {'pass' if ok else 'FAIL'}")
         failures += not ok
     return EXIT_OK if failures == 0 else EXIT_VERIFY
@@ -221,25 +223,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schmidt", help="Schmidt-spectrum spread of a free eigenstate")
     p.add_argument("--n", type=int, required=True, help="principal quantum number")
-    p.add_argument("--a0", type=float, help="reduced Bohr radius")
-    p.add_argument("--alpha", type=float, help="coupling strength")
-    p.add_argument("--mu", type=float, help="reduced mass")
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--a0", type=_positive, help="reduced Bohr radius")
+    p.add_argument("--alpha", type=_positive, help="coupling strength")
+    p.add_argument("--mu", type=_positive, help="reduced mass")
+    p.add_argument("--hbar", type=_positive, default=1.0)
     p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("ppt", help="PPT symplectic-eigenvalue test for the localized state")
     _add_qn_flags(p)
-    p.add_argument("--ratio", type=float, help="a0/b (primary; overrides --a0/--b)")
-    p.add_argument("--a0", type=float, help="reduced Bohr radius")
-    p.add_argument("--b", type=float, help="wavepacket width")
+    p.add_argument("--ratio", type=_positive, help="a0/b (primary; overrides --a0/--b)")
+    p.add_argument("--a0", type=_positive, help="reduced Bohr radius")
+    p.add_argument("--b", type=_positive, help="wavepacket width")
     p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("map", help="detection map over an (a0, b) grid")
     _add_qn_flags(p)
-    p.add_argument("--a0-min", type=float, default=0.5)
-    p.add_argument("--a0-max", type=float, default=3.5)
-    p.add_argument("--b-min", type=float, default=0.5)
-    p.add_argument("--b-max", type=float, default=3.5)
+    p.add_argument("--a0-min", type=_positive, default=0.5)
+    p.add_argument("--a0-max", type=_positive, default=3.5)
+    p.add_argument("--b-min", type=_positive, default=0.5)
+    p.add_argument("--b-max", type=_positive, default=3.5)
     p.add_argument("--points", type=int, default=16, help="grid points per axis")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path (default: standard output)")
@@ -247,14 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle-vs-closed-form check suite")
     p.add_argument("--n-max", type=int, default=3, help="largest n in the sweep")
-    # Test-only: adds a bias to the first check so the harness can be exercised.
-    p.add_argument("--perturb", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("linent", help="closed-form linear entropy (completeness only)")
     _add_qn_flags(p)
-    p.add_argument("--a0", type=float, default=1.0, help="reduced Bohr radius")
-    p.add_argument("--volume", type=float, help="finite normalization volume")
+    p.add_argument("--a0", type=_positive, default=1.0, help="reduced Bohr radius")
+    p.add_argument("--volume", type=_positive, help="finite normalization volume")
     p.set_defaults(func=cmd_linent)
 
     return parser

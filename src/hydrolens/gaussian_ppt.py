@@ -16,7 +16,6 @@ the blind band, and is the numeric pipeline's test oracle.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,19 +163,6 @@ def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=nu)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HYDROLENS_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HYDROLENS_THREADS must be a positive integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"HYDROLENS_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
                   b_range: tuple[float, float], points: int):
     """Row-major grid of PPT verdicts over (a0, b) pairs, a0 outer and b inner.
@@ -184,13 +170,12 @@ def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
     Returns a list of (a0, b, nu1, nu2, nu5, nu6, min_nu, detected) tuples of
     Python floats and a bool; every value depends on a0 and b only through
     the ratio a0/b.  Each row equals ppt_closed_form at that cell.
-    HYDROLENS_THREADS is still validated but has no effect.
     """
     if points < 2:
         raise ValueError(f"grid resolution must be >= 2, got {points}")
-    if min(a0_range) <= 0 or min(b_range) <= 0:
-        raise ValueError("a0 and b ranges must be positive")
-    _thread_cap()  # validated only: the map has no thread pool
+    bounds = np.array([*a0_range, *b_range], dtype=float)
+    if not np.all(np.isfinite(bounds) & (bounds > 0)):
+        raise ValueError(f"a0 and b ranges must be finite and positive, got {a0_range}, {b_range}")
     a0 = np.repeat(np.linspace(a0_range[0], a0_range[1], points), points)
     b = np.tile(np.linspace(b_range[0], b_range[1], points), points)
     nu = np.array(_nu(qn, a0 / b))

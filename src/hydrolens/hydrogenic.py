@@ -54,21 +54,18 @@ class SystemParams:
     b: float | None = None
 
     def __post_init__(self):
-        if self.a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.mu is not None and self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.b is not None and self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
+        for name in ("a0", "alpha", "mu", "hbar", "b"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @classmethod
     def from_coupling(cls, alpha: float, mu: float, hbar: float = 1.0,
                       b: float | None = None) -> "SystemParams":
         if alpha <= 0 or mu <= 0:
             raise ValueError("alpha and mu must be positive")
-        return cls(a0=hbar * hbar / (mu * alpha), alpha=alpha, mu=mu, hbar=hbar, b=b)
+        # Divided in turn: the product mu * alpha can underflow to zero.
+        return cls(a0=hbar * hbar / mu / alpha, alpha=alpha, mu=mu, hbar=hbar, b=b)
 
     @property
     def a0_over_b(self) -> float:

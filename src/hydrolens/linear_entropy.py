@@ -1,24 +1,23 @@
 """Linear entropy of a free hydrogenic eigenstate.
 
 S_lin = 1 - (product / V) where product = I_ang * I_rad factorizes the
-momentum-space purity integral.  The angular factor I_ang is an exact
-Wigner-3j sum; the radial factor I_rad = int k^2 F^4 dk comes from a
-Gauss-Chebyshev rule that is exact for its polynomial integrand.  Reported
-for completeness only: the linear entropy carries no operational meaning as
-an entanglement quantifier for these continuous states (it tends to 1 for
-every eigenstate as V -> infinity).
+momentum-space purity integral.  The angular factor I_ang = int |Y|^4 dOmega
+comes from a Gauss-Legendre rule and the radial factor I_rad = int k^2 F^4 dk
+from a Gauss-Chebyshev rule; each rule is exact for its polynomial integrand.
+Reported for completeness only: the linear entropy carries no operational
+meaning as an entanglement quantifier for these continuous states (it tends
+to 1 for every eigenstate as V -> infinity).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .hydrogenic import QuantumNumbers, radial_momentum
-from .specfun import wigner3j
+from .specfun import spherical_harmonic_sq
 
 
 @dataclass(frozen=True)
@@ -32,27 +31,22 @@ class LinearEntropyResult:
         """1 - product/V; exactly 1 in the V -> infinity limit."""
         if volume is None or math.isinf(volume):
             return 1.0
-        if volume <= 0:
+        if not volume > 0:
             raise ValueError(f"volume must be positive, got {volume}")
         return 1.0 - self.product / volume
 
 
 def angular_sum(l: int, m: int) -> float:
-    """I_ang = sum_{l'} (2l+1)^2 (2l'+1)/(4 pi) 3j(l,l,l'; m,m,-2m)^2
-    3j(l,l,l'; 0,0,0)^2, with l' running over 0..2l (selection rules kill the
-    rest, including every odd l' in the second symbol)."""
-    if abs(m) > l:
-        raise ValueError(f"require |m| <= l, got l={l}, m={m}")
-    total = Fraction(0)
-    for lp in range(0, 2 * l + 1):
-        w_m = wigner3j(l, l, lp, m, m, -2 * m).squared()
-        if w_m == 0:
-            continue
-        w_0 = wigner3j(l, l, lp, 0, 0, 0).squared()
-        if w_0 == 0:
-            continue
-        total += (2 * l + 1) ** 2 * (2 * lp + 1) * w_m * w_0
-    return float(total) / (4.0 * math.pi)
+    """I_ang = int |Y^m_l|^4 dOmega = 2 pi int_{-1}^{1} |Y^m_l|^4 dx, x = cos(theta).
+
+    |Y^m_l|^4 is a polynomial of degree 4l in x, so the N = 2l+1 node
+    Gauss-Legendre rule is exact up to rounding.  Its weights are all
+    positive, so nothing cancels.  oracle.angular_purity_exact gives the same
+    integral as an exact Wigner-3j sum.
+    """
+    x, w = np.polynomial.legendre.leggauss(2 * l + 1)
+    y2 = spherical_harmonic_sq(l, m, np.arccos(x))
+    return 2.0 * math.pi * float(np.dot(w, y2 * y2))
 
 
 def radial_sum(n: int, l: int, a0: float = 1.0) -> float:

@@ -21,6 +21,10 @@ from .hydrogenic import QuantumNumbers
 
 _PI = 3.141592653589793
 
+# The a0/b on which both centre-of-mass variances, and the nu built from them
+# for any n below 1e20, are normal floats.  NaN and +-inf fall outside it.
+_RATIO_RANGE = (1e-100, 1e100)
+
 
 @dataclass(frozen=True)
 class MomentSet:
@@ -129,9 +133,12 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
     """Dimensionless centre-of-mass variances (<X^2>, <P_X^2>), each shared by
     all three axes: b^2/(2 a0^2) and a0^2/(2 b^2).  Their product is exactly
     1/4 (minimum-uncertainty Gaussian).  a0_over_b may be a float or a numpy
-    array; every entry must be positive."""
-    if np.any(np.asarray(a0_over_b) <= 0):
-        raise ValueError(f"a0/b ratio must be positive, got {a0_over_b}")
+    array; every entry must lie in [1e-100, 1e100]."""
+    ratio = np.asarray(a0_over_b)
+    ok = (ratio >= _RATIO_RANGE[0]) & (ratio <= _RATIO_RANGE[1])
+    if not np.all(ok):
+        raise ValueError(f"a0/b ratio must lie in [{_RATIO_RANGE[0]:g}, {_RATIO_RANGE[1]:g}], "
+                         f"got {ratio[~ok].flat[0]}")
     return 0.5 / (a0_over_b * a0_over_b), 0.5 * a0_over_b * a0_over_b
 
 

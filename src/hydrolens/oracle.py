@@ -2,9 +2,11 @@
 
 Nothing in here is used by the production paths; closed forms elsewhere in
 the package are checked against these quadratures and exact sums in the test
-suite.  The semi-infinite momentum integrals use the compactifying variable
-x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1), which maps [0, inf) onto [-1, 1]
-and removes the algebraic tail of the momentum profiles exactly.
+suite.  racah_3j, through angular_purity_exact, is the exact-rational oracle
+for linear_entropy.angular_sum.  The semi-infinite momentum integrals use the
+compactifying variable x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1), which maps
+[0, inf) onto [-1, 1] and removes the algebraic tail of the momentum profiles
+exactly.
 """
 
 from __future__ import annotations
@@ -203,3 +205,18 @@ def racah_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> RacahValue
     phase = -1 if (j1 - j2 - m3) % 2 else 1
     sign = 1 if phase * s > 0 else -1
     return RacahValue(sign=sign, square=num_sq * s * s)
+
+
+def angular_purity_exact(l: int, m: int) -> Fraction:
+    """4 pi int |Y^m_l|^4 dOmega as an exact rational: the Wigner-3j sum
+
+        sum_{l'} (2l+1)^2 (2l'+1) 3j(l,l,l'; m,m,-2m)^2 3j(l,l,l'; 0,0,0)^2
+
+    over l' = 0..2l, from racah_3j.  The oracle for linear_entropy.angular_sum.
+    """
+    total = Fraction(0)
+    for lp in range(0, 2 * l + 1):
+        w_m = racah_3j(l, l, lp, m, m, -2 * m).square
+        if w_m:
+            total += (2 * l + 1) ** 2 * (2 * lp + 1) * w_m * racah_3j(l, l, lp, 0, 0, 0).square
+    return total

@@ -1,20 +1,19 @@
 import json
-import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from hydrolens import cli
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("HYDROLENS_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "hydrolens.cli", *args],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
 
 
 def test_import_leaves_scipy_special_unloaded():
@@ -120,12 +119,10 @@ def test_map_json_mirror():
 
 
 def test_map_golden_file_byte_stable(tmp_path):
-    golden = GOLDEN.read_bytes()
-    for env_extra in (None, {"HYDROLENS_THREADS": "1"}, {"HYDROLENS_THREADS": "8"}):
-        out = tmp_path / "map.csv"
-        res = run_cli("map", "--output", str(out), env_extra=env_extra)
-        assert res.returncode == 0
-        assert out.read_bytes() == golden
+    out = tmp_path / "map.csv"
+    res = run_cli("map", "--output", str(out))
+    assert res.returncode == 0
+    assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 def test_map_unwritable_path_is_io_error(tmp_path):
@@ -144,10 +141,35 @@ def test_verify_passes():
         assert f"{name}: pass" in out
 
 
-def test_verify_injected_failure():
-    res = run_cli("verify", "--n-max", "1", "--perturb", "0.5")
-    assert res.returncode == 5
-    assert "momentum normalization: FAIL" in res.stdout
+def test_verify_injected_failure(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_verify_checks", lambda n_max: iter([("injected", False)]))
+    assert cli.main(["verify", "--n-max", "1"]) == 5
+    assert "injected: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ppt", "--ratio", "nan"],
+    ["ppt", "--a0", "nan", "--b", "1"],
+    ["ppt", "--ratio", "inf"],
+    ["map", "--a0-min", "nan"],
+    ["map", "--b-max", "inf"],
+    ["schmidt", "--n", "1", "--a0", "nan"],
+    ["linent", "--a0", "nan"],
+    ["linent", "--volume", "nan"],
+    # Finite flags whose derived a0 or a0/b, or (a0/b)^2, overflows or underflows.
+    ["ppt", "--ratio", "1e-200"],
+    ["ppt", "--a0", "1e300", "--b", "1e-300"],
+    ["ppt", "--a0", "1e-300", "--b", "1e300"],
+    ["map", "--points", "2", "--a0-max", "1e300", "--b-min", "1e-300"],
+    ["schmidt", "--n", "1", "--alpha", "1e-300", "--mu", "1e-300"],
+])
+def test_non_finite_input_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
 
 
 def test_linent_ground_state():

@@ -193,29 +193,20 @@ def test_detection_map_grid_order_and_values():
                              v.min_nu, v.detected), (qn, r)
 
 
-def test_detection_map_thread_cap_stable(monkeypatch):
-    base = detection_map(GROUND, (0.5, 3.0), (0.5, 3.0), 4)
-    monkeypatch.setenv("HYDROLENS_THREADS", "5")
-    threaded = detection_map(GROUND, (0.5, 3.0), (0.5, 3.0), 4)
-    assert base == threaded
-
-
-def test_detection_map_bad_thread_cap(monkeypatch):
-    monkeypatch.setenv("HYDROLENS_THREADS", "zero")
-    with pytest.raises(ValueError):
-        detection_map(GROUND, (1.0, 2.0), (1.0, 2.0), 2)
-    monkeypatch.setenv("HYDROLENS_THREADS", "0")
-    with pytest.raises(ValueError):
-        detection_map(GROUND, (1.0, 2.0), (1.0, 2.0), 2)
-
-
 def test_detection_map_validation():
     with pytest.raises(ValueError):
         detection_map(GROUND, (1.0, 2.0), (1.0, 2.0), 1)
     with pytest.raises(ValueError):
         detection_map(GROUND, (0.0, 2.0), (1.0, 2.0), 2)
+    # Non-finite bounds, and finite bounds whose a0/b overflows.
+    for a0_range, b_range in [((math.nan, 2.0), (1.0, 2.0)), ((1.0, 2.0), (1.0, math.inf)),
+                              ((1.0, math.inf), (1.0, 2.0)), ((1.0, 1e300), (1e-300, 1.0))]:
+        with pytest.raises(ValueError):
+            detection_map(GROUND, a0_range, b_range, 2)
 
 
 def test_closed_form_rejects_bad_ratio():
-    with pytest.raises(ValueError):
-        ppt_closed_form(GROUND, 0.0)
+    # Outside [1e-100, 1e100] a0/b squared, or its reciprocal, nears overflow.
+    for ratio in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e200, 1e-200):
+        with pytest.raises(ValueError):
+            ppt_closed_form(GROUND, ratio)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -42,9 +43,21 @@ def test_angular_sum_matches_quadrature():
 
 
 def test_angular_sum_even_in_m():
-    for l in range(1, 4):
+    for l in list(range(1, 13)) + [40]:
         for m in range(1, l + 1):
             assert angular_sum(l, m) == angular_sum(l, -m)
+
+
+def test_angular_sum_stretched_closed_form():
+    # |Y^l_l|^2 = c sin^(2l), so int |Y^l_l|^4 dOmega has the exact form
+    # (2l+1)^2 C(2l, l)^2 (2l)!^2 / (4 pi (4l+1)!).  l up to 199 runs past
+    # the float overflow of (l + |m|)! at 171.
+    for l in list(range(13)) + [40, 80, 149, 199]:
+        exact = Fraction((2 * l + 1) ** 2 * math.comb(2 * l, l) ** 2 * math.factorial(2 * l) ** 2,
+                         math.factorial(4 * l + 1))
+        for m in (l, -l):
+            assert math.isclose(angular_sum(l, m), float(exact) / (4 * math.pi),
+                                rel_tol=1e-13), (l, m)
 
 
 def test_radial_sum_matches_quadrature():
@@ -82,6 +95,8 @@ def test_s_lin_limits():
     assert math.isclose(res.s_lin(10.0), 1.0 - res.product / 10.0)
     with pytest.raises(ValueError):
         res.s_lin(-1.0)
+    with pytest.raises(ValueError):
+        res.s_lin(math.nan)
 
 
 def test_validation():

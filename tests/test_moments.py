@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hydrolens.hydrogenic import QuantumNumbers, radial_momentum, radial_position
@@ -112,8 +113,9 @@ def test_com_moments_minimum_uncertainty():
         X2, P2 = com_moments(ratio)
         # 1/4 up to the final rounding of the product.
         assert abs(X2 * P2 - 0.25) <= 1e-16
-    with pytest.raises(ValueError):
-        com_moments(0.0)
+    for bad in (0.0, math.nan, math.inf, -math.inf, 1e200, 1e-200, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError):
+            com_moments(bad)
 
 
 def test_moment_set_diagonal_order():

@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from hydrolens.hydrogenic import QuantumNumbers
+from hydrolens.linear_entropy import angular_sum
 from hydrolens.oracle import (
     QuadratureError,
     QuadratureSpec,
+    angular_purity_exact,
     bessel_transform_radial,
     integrate,
     integrate_momentum,
@@ -15,7 +17,7 @@ from hydrolens.oracle import (
     momentum_compactification,
     racah_3j,
 )
-from hydrolens.specfun import gegenbauer, wigner3j
+from hydrolens.specfun import gegenbauer
 
 
 def test_spec_validation():
@@ -132,21 +134,17 @@ def test_racah_trivial_and_selection():
 
 
 def test_racah_agrees_with_library_path():
-    # Exact (rational) agreement on every tuple used by the angular purity
-    # sums up to l = 6, plus the zero-projection companions.
-    for l in range(0, 7):
+    # The Gauss-Legendre angular purity against the exact rational 3-j sum,
+    # for every (l, m) with l <= 10 (l' = 2l reaches the oracle's bound 20).
+    for l in range(0, 11):
         for m in range(-l, l + 1):
-            for lp in range(0, 2 * l + 1):
-                for (m1, m2, m3) in [(m, m, -2 * m), (0, 0, 0)]:
-                    lib = wigner3j(l, l, lp, m1, m2, m3)
-                    ora = racah_3j(l, l, lp, m1, m2, m3)
-                    assert lib.squared() == ora.square, (l, lp, m)
-                    lib_sign = 0 if lib.coeff == 0 else (1 if lib.coeff > 0 else -1)
-                    assert lib_sign == ora.sign, (l, lp, m)
+            exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
+            assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-13), (l, m)
 
 
 def test_racah_nonzero_example_matches():
-    lib = wigner3j(2, 2, 4, 1, 1, -2)
-    ora = racah_3j(2, 2, 4, 1, 1, -2)
-    assert lib.squared() == ora.square != 0
-    assert math.isclose(float(lib), float(ora), rel_tol=1e-15)
+    # Stretched case: (j1 j2 J; m1 m2 -M)^2 with J = j1 + j2 is
+    # (2j1)! (2j2)! (J+M)! (J-M)! / ((2J+1)! (j1+m1)! (j1-m1)! (j2+m2)! (j2-m2)!).
+    value = racah_3j(2, 2, 4, 1, 1, -2)
+    assert value.square == Fraction(4, 63)
+    assert value.sign == 1

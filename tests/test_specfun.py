@@ -1,17 +1,13 @@
 import math
-from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hydrolens.specfun import (
-    ExactSqrt,
-    gegenbauer,
-    laguerre_assoc,
-    legendre_assoc,
-    spherical_harmonic_sq,
-    three_j_selection_rules_ok,
-    wigner3j,
-)
+from hydrolens.specfun import gegenbauer, laguerre_assoc, spherical_harmonic_sq
+
+# Degrees for the large-l checks: every l <= 12 and spot degrees past the
+# l + |m| = 171 at which (l + |m|)! overflows a float.
+LARGE_L = list(range(13)) + [40, 80, 149, 199]
 
 
 def test_laguerre_degree_zero_is_q_factorial():
@@ -43,34 +39,48 @@ def test_laguerre_invalid_args():
         laguerre_assoc(0, 1, math.inf)
 
 
-def test_legendre_low_orders():
-    for x in (-0.9, -0.2, 0.0, 0.4, 1.0):
-        assert math.isclose(legendre_assoc(0, 0, x), 1.0)
-        assert math.isclose(legendre_assoc(1, 0, x), x, abs_tol=1e-15)
-        assert math.isclose(legendre_assoc(2, 0, x), 0.5 * (3 * x * x - 1), abs_tol=1e-15)
-        s = math.sqrt(1 - x * x)
-        # No Condon-Shortley phase: P_11 = sqrt(1-x^2), positive.
-        assert math.isclose(legendre_assoc(1, 1, x), s, abs_tol=1e-15)
-        assert math.isclose(legendre_assoc(2, 1, x), 3 * x * s, abs_tol=1e-14)
-
-
-def test_legendre_invalid_args():
-    with pytest.raises(ValueError):
-        legendre_assoc(1, 2, 0.5)
-    with pytest.raises(ValueError):
-        legendre_assoc(2, -1, 0.5)
-    with pytest.raises(ValueError):
-        legendre_assoc(2, 0, 1.5)
-
-
 def test_spherical_harmonic_sq_values():
     # |Y^0_0|^2 = 1/(4 pi) everywhere; |Y^0_1|^2 = 3 cos^2/(4 pi).
     for theta in (0.0, 0.7, math.pi / 2, 2.5):
         assert math.isclose(spherical_harmonic_sq(0, 0, theta), 1 / (4 * math.pi))
         assert math.isclose(spherical_harmonic_sq(1, 0, theta),
                             3 * math.cos(theta) ** 2 / (4 * math.pi), abs_tol=1e-16)
+    # The explicit l = 1, 2 forms for m != 0, and l = 2, m = 0.
+    for theta in (0.0, 0.4, 1.3, math.pi / 2, 2.2, math.pi):
+        c, s = math.cos(theta), math.sin(theta)
+        expected = {
+            (1, 1): 3 * s ** 2 / (8 * math.pi),
+            (2, 0): 5 * (3 * c * c - 1) ** 2 / (16 * math.pi),
+            (2, 1): 15 * s * s * c * c / (8 * math.pi),
+            (2, 2): 15 * s ** 4 / (32 * math.pi),
+        }
+        for (l, m), want in expected.items():
+            for sign in (1, -1):
+                got = spherical_harmonic_sq(l, sign * m, theta)
+                assert isinstance(got, float)
+                assert math.isclose(got, want, rel_tol=1e-14, abs_tol=1e-16), (l, m, theta)
     # m and -m give the same magnitude.
     assert math.isclose(spherical_harmonic_sq(3, 2, 1.1), spherical_harmonic_sq(3, -2, 1.1))
+    with pytest.raises(ValueError):
+        spherical_harmonic_sq(1, 2, 0.5)
+
+
+def test_spherical_harmonic_sq_unsold_identity():
+    # sum_m |Y^m_l|^2 = (2l+1)/(4 pi) at every theta (Unsold's theorem).
+    theta = np.linspace(0.0, math.pi, 61)
+    for l in LARGE_L + [171]:
+        total = sum(spherical_harmonic_sq(l, m, theta) for m in range(-l, l + 1))
+        assert total.shape == theta.shape
+        np.testing.assert_allclose(total, (2 * l + 1) / (4 * math.pi), rtol=1e-12, err_msg=str(l))
+    # Past the old factorial overflow at l + |m| = 171.
+    assert math.isfinite(spherical_harmonic_sq(171, 0, 0.3))
+    assert math.isfinite(spherical_harmonic_sq(149, 149, 1.0))
+    # An array theta gives an array of its shape, equal to the scalar calls.
+    grid = np.array([[0.1, 0.7], [1.9, 3.0]])
+    values = spherical_harmonic_sq(7, -3, grid)
+    assert values.shape == grid.shape
+    scalars = [[spherical_harmonic_sq(7, -3, t) for t in row] for row in grid.tolist()]
+    np.testing.assert_allclose(values, scalars, rtol=1e-14)
 
 
 def test_gegenbauer_low_degrees():
@@ -87,41 +97,3 @@ def test_gegenbauer_invalid_args():
         gegenbauer(0.0, 1, 0.5)
     with pytest.raises(ValueError):
         gegenbauer(1.0, -1, 0.5)
-
-
-def test_exact_sqrt_algebra():
-    a = ExactSqrt(Fraction(1, 2), Fraction(2))
-    b = ExactSqrt(Fraction(1, 4), Fraction(8))
-    assert a == b
-    assert a.squared() == Fraction(1, 2)
-    assert math.isclose(float(a), math.sqrt(2) / 2)
-    assert ExactSqrt.ZERO == ExactSqrt(Fraction(0), Fraction(7))
-    assert a != ExactSqrt(Fraction(-1, 2), Fraction(2))
-
-
-def test_selection_rules():
-    assert three_j_selection_rules_ok(1, 1, 2, 0, 0, 0)
-    assert not three_j_selection_rules_ok(1, 1, 3, 0, 0, 0)
-    assert not three_j_selection_rules_ok(1, 1, 2, 1, 1, 1)
-    assert not three_j_selection_rules_ok(1, 1, 2, 2, -2, 0)
-
-
-def test_wigner3j_known_values():
-    assert wigner3j(0, 0, 0, 0, 0, 0) == ExactSqrt(Fraction(1), Fraction(1))
-    # (1 1 2; 0 0 0) = sqrt(2/15)
-    assert wigner3j(1, 1, 2, 0, 0, 0).squared() == Fraction(2, 15)
-    assert float(wigner3j(1, 1, 2, 0, 0, 0)) > 0
-    # (1 1 0; 0 0 0) = -1/sqrt(3)
-    v = wigner3j(1, 1, 0, 0, 0, 0)
-    assert v.squared() == Fraction(1, 3)
-    assert float(v) < 0
-    # (l l l'; 0 0 0) vanishes for odd sums.
-    assert wigner3j(1, 1, 1, 0, 0, 0) == ExactSqrt.ZERO
-    assert wigner3j(2, 2, 3, 0, 0, 0) == ExactSqrt.ZERO
-
-
-def test_wigner3j_selection_violation_is_zero():
-    assert wigner3j(1, 1, 5, 0, 0, 0) == ExactSqrt.ZERO
-    assert wigner3j(1, 1, 2, 1, 1, 1) == ExactSqrt.ZERO
-    with pytest.raises(ValueError):
-        wigner3j(-1, 1, 2, 0, 0, 0)
