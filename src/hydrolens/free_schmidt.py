@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hydrogenic import QuantumNumbers, SystemParams
 
 CONVENTION_FACTOR = (2.0 * math.pi) ** -1.5
@@ -38,11 +36,6 @@ class SchmidtSpread:
     def bare_second_moment(self) -> float:
         """The convention-free integral value (delta_k / factor)^2 = 1/(n a0)^2."""
         return (self.delta_k / self.convention_factor) ** 2
-
-
-def mean_local_wavevector(qn: QuantumNumbers) -> np.ndarray:
-    """First moment of the Schmidt spectrum; zero by parity for any eigenstate."""
-    return np.zeros(3)
 
 
 def schmidt_spread(qn: QuantumNumbers, params: SystemParams) -> SchmidtSpread:

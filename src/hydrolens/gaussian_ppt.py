@@ -178,7 +178,11 @@ def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
         raise ValueError(f"a0 and b ranges must be finite and positive, got {a0_range}, {b_range}")
     a0 = np.repeat(np.linspace(a0_range[0], a0_range[1], points), points)
     b = np.tile(np.linspace(b_range[0], b_range[1], points), points)
-    nu = np.array(_nu(qn, a0 / b))
+    # An a0/b that overflows or underflows is rejected by com_moments' range
+    # check, so numpy need not warn about it.
+    with np.errstate(over="ignore", under="ignore"):
+        ratio = a0 / b
+    nu = np.array(_nu(qn, ratio))
     min_nu = nu.min(axis=0)
     columns = (a0, b, nu[0], nu[1], nu[4], nu[5], min_nu, min_nu < 1.0)
     return list(zip(*(c.tolist() for c in columns)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydrogenic import QuantumNumbers, radial_momentum
+from .hydrogenic import QuantumNumbers, _check_positive, radial_momentum
 from .specfun import spherical_harmonic_sq
 
 
@@ -59,6 +59,7 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     """
     if not (0 <= l < n):
         raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
+    _check_positive("a0", a0)
     nodes = 2 * n + 1
     theta = np.arange(1, nodes + 1) * (math.pi / (nodes + 1))
     x, s = np.cos(theta), np.sin(theta)

@@ -186,7 +186,7 @@ def racah_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> RacahValue
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3 or m1 + m2 + m3 != 0 \
             or not (abs(j1 - j2) <= j3 <= j1 + j2):
         return RacahValue(sign=0)
-    fac = math.factorial
+    fac = math.perm  # perm(x) = x!, in exact integers
     delta_sq = Fraction(
         fac(j1 + j2 - j3) * fac(j1 - j2 + j3) * fac(-j1 + j2 + j3),
         fac(j1 + j2 + j3 + 1))

@@ -1,11 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from hydrolens.free_schmidt import (
     CONVENTION_FACTOR,
-    mean_local_wavevector,
     reduced_mass_comparison,
     schmidt_spread,
 )
@@ -51,10 +49,6 @@ def test_bare_second_moment():
 def test_always_entangled():
     for n in (1, 5, 10):
         assert schmidt_spread(QuantumNumbers(n, 0, 0), SystemParams(a0=1.0)).entangled
-
-
-def test_mean_local_wavevector_vanishes():
-    assert np.array_equal(mean_local_wavevector(QuantumNumbers(4, 2, -1)), np.zeros(3))
 
 
 def test_reduced_mass_comparison():

@@ -1,14 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from hydrolens.hydrogenic import (
     QuantumNumbers,
     SystemParams,
-    full_state_density,
-    gaussian_com_density,
-    position_density,
     radial_momentum,
     radial_position,
 )
@@ -19,6 +17,8 @@ from hydrolens.oracle import (
 )
 
 STATES_N4 = [QuantumNumbers(n, l, 0) for n in range(1, 5) for l in range(n)]
+# Rydberg states: l = 0, n/2 and n-1 at n = 50, 100, 200.
+RYDBERG = [QuantumNumbers(n, l, 0) for n in (50, 100, 200) for l in (0, n // 2, n - 1)]
 
 
 def test_quantum_numbers_validation():
@@ -73,8 +73,34 @@ def test_radial_position_node_count():
 
 
 def test_radial_position_rejects_negative_r():
-    with pytest.raises(ValueError):
-        radial_position(QuantumNumbers(1, 0, 0), 1.0, -0.1)
+    qn = QuantumNumbers(2, 1, 0)
+    for f in (radial_position, radial_momentum):
+        for bad in (-0.1, -math.inf, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                f(qn, 1.0, bad)
+            with pytest.raises(ValueError):
+                f(qn, 1.0, np.array([0.5, bad]))
+        # a0 must be finite and positive too.
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                f(qn, bad, 0.5)
+            with pytest.raises(ValueError):
+                f(qn, bad, np.array([0.5, 1.0]))
+
+
+def test_array_argument_matches_scalar_calls():
+    grid = np.array([[0.0, 0.3], [1.7, 25.0]])
+    for qn in STATES_N4 + [QuantumNumbers(12, 5, 0), RYDBERG[4]]:
+        for f in (radial_position, radial_momentum):
+            values = f(qn, 0.7, grid)
+            assert values.shape == grid.shape
+            assert values.dtype == np.float64
+            scalars = [[f(qn, 0.7, x) for x in row] for row in grid.tolist()]
+            assert (values == scalars).all(), (f.__name__, qn)
+            # A 0-d argument, numpy or not, gives a Python float.
+            for x, same in ((2, 2.0), (np.float64(1.7), 1.7), (np.array(1.7), 1.7)):
+                got = f(qn, 0.7, x)
+                assert type(got) is float and got == f(qn, 0.7, same)
 
 
 def test_momentum_ground_state_value():
@@ -122,21 +148,55 @@ def test_momentum_matches_bessel_transform_magnitude():
         assert math.isclose(direct, oracle, rel_tol=1e-6), qn
 
 
-def test_gaussian_com_density_normalized():
-    b = 1.7
-    val, _ = integrate_semi_infinite(
-        lambda R: 4 * math.pi * R * R * gaussian_com_density(b, (0.0, 0.0, R)))
-    assert math.isclose(val, 1.0, rel_tol=1e-10)
-    with pytest.raises(ValueError):
-        gaussian_com_density(0.0, (0.0, 0.0, 0.0))
+def test_rydberg_normalisation_and_moments():
+    # a0 = 1/n^2 keeps the scale the tangent map sees of order one.
+    for qn in RYDBERG:
+        n, l = qn.n, qn.l
+        a0 = 1.0 / (n * n)
+        norm, _ = integrate_semi_infinite(lambda r: r * r * radial_position(qn, a0, r) ** 2)
+        r2, _ = integrate_semi_infinite(lambda r: r ** 4 * radial_position(qn, a0, r) ** 2)
+        k_norm, _ = integrate_momentum(
+            lambda k: k * k * radial_momentum(qn, a0, k) ** 2, n, a0)
+        k2, _ = integrate_momentum(lambda k: k ** 4 * radial_momentum(qn, a0, k) ** 2, n, a0)
+        r2_exact = n * n * (5 * n * n + 1 - 3 * l * (l + 1)) / 2.0 * a0 * a0
+        assert abs(norm - 1.0) <= 1e-8, qn
+        assert abs(r2 / r2_exact - 1.0) <= 1e-8, qn
+        assert abs(k_norm - 1.0) <= 1e-8, qn
+        assert abs(n * n * a0 * a0 * k2 - 1.0) <= 1e-8, qn
+    # (n+l)!^3 overflowed a float from n + l = 72 on.
+    value = radial_position(QuantumNumbers(72, 0, 0), 1.0, 0.01)
+    assert type(value) is float and math.isfinite(value)
 
 
-def test_position_density_factorizes():
-    qn = QuantumNumbers(2, 1, 0)
-    params = SystemParams(a0=1.0, b=2.0)
-    rvec, Rvec = (0.3, 0.1, 1.2), (0.5, -0.2, 0.4)
-    full = full_state_density(qn, params, rvec, Rvec)
-    assert math.isclose(
-        full, position_density(qn, 1.0, rvec) * gaussian_com_density(2.0, Rvec))
-    with pytest.raises(ValueError):
-        full_state_density(qn, SystemParams(a0=1.0), rvec, Rvec)
+def _mp_position(n, l, a0, r):
+    rho = 2 * mp.mpf(r) / (n * mp.mpf(a0))
+    norm = mp.sqrt((2 / (n * mp.mpf(a0))) ** 3 * mp.factorial(n - l - 1)
+                   / (2 * n * mp.factorial(n + l)))
+    return (norm * mp.exp(-rho / 2) * rho ** l
+            * mp.laguerre(n - l - 1, 2 * l + 1, rho, zeroprec=1000))
+
+
+def _mp_momentum(n, l, a0, k):
+    s = n * mp.mpf(a0) * mp.mpf(k)
+    norm = (mp.sqrt(2 / mp.pi * mp.factorial(n - l - 1) / mp.factorial(n + l))
+            * n ** 2 * mp.mpf(2) ** (2 * l + 2) * mp.factorial(l) * mp.mpf(a0) ** 1.5)
+    return (norm * s ** l / (s * s + 1) ** (l + 2)
+            * mp.gegenbauer(n - l - 1, l + 1, (s * s - 1) / (s * s + 1), zeroprec=1000))
+
+
+def test_pointwise_against_mpmath():
+    # 1e-12 of each value plus 1e-14 of the function's maximum: next to a
+    # node, one rounding of the argument moves the value by more than 1e-12
+    # of itself.
+    states = [QuantumNumbers(n, l, 0) for n in range(1, 13) for l in range(n)] + RYDBERG
+    with mp.workdps(50):
+        for qn in states:
+            n, l = qn.n, qn.l
+            a0 = 1.0 if n <= 12 else 1.0 / (n * n)
+            for f, f_mp, x in (
+                    (radial_position, _mp_position, np.linspace(0.0, (4 * n + 30) * n * a0, 31)),
+                    (radial_momentum, _mp_momentum, np.linspace(0.0, 6.0 / (n * a0), 31))):
+                got = f(qn, a0, x)
+                want = np.array([float(f_mp(n, l, a0, xi)) for xi in x.tolist()])
+                bound = 1e-12 * np.abs(want) + 1e-14 * np.abs(want).max()
+                assert (np.abs(got - want) <= bound).all(), (f.__name__, qn)

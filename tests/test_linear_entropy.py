@@ -104,3 +104,8 @@ def test_validation():
         angular_sum(1, 2)
     with pytest.raises(ValueError):
         radial_sum(1, 1)
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            radial_sum(2, 0, a0=bad)
+        with pytest.raises(ValueError):
+            linear_entropy(QuantumNumbers(2, 1, 0), a0=bad)

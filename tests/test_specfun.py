@@ -3,40 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hydrolens.specfun import gegenbauer, laguerre_assoc, spherical_harmonic_sq
+from hydrolens.specfun import gegenbauer, spherical_harmonic_sq
 
 # Degrees for the large-l checks: every l <= 12 and spot degrees past the
 # l + |m| = 171 at which (l + |m|)! overflows a float.
 LARGE_L = list(range(13)) + [40, 80, 149, 199]
-
-
-def test_laguerre_degree_zero_is_q_factorial():
-    # L^p_0 = q! in the Rodrigues-style convention (q = p here).
-    assert laguerre_assoc(3, 0, 2.7) == math.factorial(3)
-    assert laguerre_assoc(0, 0, 5.0) == 1.0
-
-
-def test_laguerre_against_modern_convention():
-    # L^1_1(x) in the modern convention is 2 - x; here it carries q! = 2!.
-    for x in (0.0, 0.5, 1.0, 3.25):
-        assert math.isclose(laguerre_assoc(1, 1, x), 2.0 * (2.0 - x), rel_tol=1e-14)
-
-
-def test_laguerre_plain_low_degrees():
-    # p = 0 reduces to q! times the plain Laguerre polynomial.
-    for x in (0.0, 0.3, 1.7):
-        assert math.isclose(laguerre_assoc(0, 1, x), 1.0 - x, abs_tol=1e-14)
-        assert math.isclose(laguerre_assoc(0, 2, x), 2.0 * (1.0 - 2.0 * x + x * x / 2.0),
-                            rel_tol=1e-13, abs_tol=1e-13)
-
-
-def test_laguerre_invalid_args():
-    with pytest.raises(ValueError):
-        laguerre_assoc(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        laguerre_assoc(0, -1, 1.0)
-    with pytest.raises(ValueError):
-        laguerre_assoc(0, 1, math.inf)
 
 
 def test_spherical_harmonic_sq_values():
@@ -90,6 +61,17 @@ def test_gegenbauer_low_degrees():
             assert math.isclose(gegenbauer(alpha, 1, x), 2 * alpha * x, abs_tol=1e-15)
             assert math.isclose(gegenbauer(alpha, 2, x),
                                 2 * alpha * (alpha + 1) * x * x - alpha, abs_tol=1e-14)
+
+
+def test_gegenbauer_array_matches_scalar_calls():
+    grid = np.array([[-1.0, -0.3], [0.45, 1.0]])
+    for alpha, n in ((1.0, 0), (1.0, 1), (2.5, 7), (101.0, 99)):
+        values = gegenbauer(alpha, n, grid)
+        assert values.shape == grid.shape
+        assert (values == [[gegenbauer(alpha, n, x) for x in row] for row in grid.tolist()]).all()
+        for x in (0.45, np.float64(0.45), np.array(0.45)):
+            got = gegenbauer(alpha, n, x)
+            assert type(got) is float and got == gegenbauer(alpha, n, 0.45)
 
 
 def test_gegenbauer_invalid_args():
