@@ -2,35 +2,26 @@
 
 from .free_schmidt import SchmidtSpread, schmidt_spread, reduced_mass_comparison
 from .gaussian_ppt import (
-    CovarianceMatrix,
     PPTVerdict,
     blind_band_edges,
-    build_covariance,
     detection_map,
-    partial_transpose,
     ppt_closed_form,
     ppt_numeric,
-    symplectic_eigenvalues,
 )
 from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum, radial_position
 from .linear_entropy import LinearEntropyResult, linear_entropy
-from .moments import MomentSet, kramer_pasternack, moment_set, relative_moments
+from .moments import kramer_pasternack, relative_moments
 
 __all__ = [
-    "CovarianceMatrix",
     "LinearEntropyResult",
-    "MomentSet",
     "PPTVerdict",
     "QuantumNumbers",
     "SchmidtSpread",
     "SystemParams",
     "blind_band_edges",
-    "build_covariance",
     "detection_map",
     "kramer_pasternack",
     "linear_entropy",
-    "moment_set",
-    "partial_transpose",
     "ppt_closed_form",
     "ppt_numeric",
     "radial_momentum",
@@ -38,7 +29,6 @@ __all__ = [
     "reduced_mass_comparison",
     "relative_moments",
     "schmidt_spread",
-    "symplectic_eigenvalues",
 ]
 
 __version__ = "1.0.0"

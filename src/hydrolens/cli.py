@@ -135,7 +135,10 @@ def cmd_map(parser, args) -> int:
 
 def cmd_linent(parser, args) -> int:
     qn = _quantum_numbers(parser, args)
-    res = linear_entropy(qn, args.a0)
+    try:
+        res = linear_entropy(qn, args.a0)
+    except OverflowError as exc:  # Rydberg n beyond radial_momentum's range
+        parser.error(str(exc))
     print(f"I_ang = {_human(res.i_ang)}")
     print(f"I_rad = {_human(res.i_rad)}  (units a0^3)")
     print(f"product = {_human(res.product)}  (units a0^3)")
@@ -180,10 +183,10 @@ def _verify_checks(n_max: int):
 
     ok = True
     for qn in states:
-        for ratio in (0.5, 1.0, 1.5, 2.0):
+        for ratio in (0.5, 1.5, 2.0, *(10.0 ** k for k in range(-4, 5))):
             numeric = ppt_numeric(qn, ratio).nu
-            closed = tuple(sorted(ppt_closed_form(qn, ratio).nu))
-            ok &= all(abs(a - b) <= 1e-10 for a, b in zip(numeric, closed))
+            closed = sorted(ppt_closed_form(qn, ratio).nu)
+            ok &= all(abs(a - b) <= 1e-13 * b for a, b in zip(numeric, closed))
     yield "eigenvalue pipeline", ok
 
     ok = True

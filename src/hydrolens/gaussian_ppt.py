@@ -1,52 +1,30 @@
 """PPT entanglement test for the Gaussian-localized hydrogenic state.
 
-The 12x12 covariance matrix uses the anticommutator convention
-sigma = Tr[{r, r^T} rho], i.e. a factor 2 on every variance, which puts the
-vacuum (physicality) threshold at 1, not hbar/2.  Entanglement is detected
-when a symplectic eigenvalue of the partial transpose is strictly below 1;
-exact equality classifies as not detected.
+Covariances use the anticommutator convention sigma = Tr[{r, r^T} rho], i.e.
+a factor 2 on every variance, which puts the vacuum (physicality) threshold
+at 1, not hbar/2.  Entanglement is detected when a symplectic eigenvalue of
+the partial transpose is strictly below 1; exact equality classifies as not
+detected.
 
-The numeric pipeline (build covariance -> partial transpose -> eigensolve) is
-the production path for arbitrary physical covariance matrices.  For the
-localized state the six eigenvalues have a closed form in the ratio a0/b; it
-gives the point verdict, the detection map (the whole grid as one array) and
-the blind band, and is the numeric pipeline's test oracle.
+All first moments and mixed products vanish, so the 12x12 covariance matrix
+is block-diagonal by axis: three two-mode Gaussians (x1, p1, x2, p2).  The
+six eigenvalues have a closed form in the ratio a0/b; it gives the point
+verdict, the detection map (the whole grid as one array) and the blind band.
+ppt_numeric is its independent oracle: it builds each axis's particle-basis
+block from the variances alone and takes the partially transposed spectrum
+from the invariants Delta and det sigma in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .hydrogenic import QuantumNumbers
-from .moments import MomentSet, com_moments, moment_set, relative_moments
-
-PARTICLE = "particle"
-DECOUPLED = "decoupled"
-
-# Indices of p_{x2}, p_{y2}, p_{z2} in the particle-basis canonical order
-# (x1, px1, y1, py1, z1, pz1, x2, px2, y2, py2, z2, pz2).
-_PT_INDICES = (7, 9, 11)
-
-_PAIR_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """12x12 real symmetric covariance matrix, dimensionless (a0, hbar/a0)."""
-
-    matrix: np.ndarray
-    basis: str = PARTICLE
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (12, 12):
-            raise ValueError(f"expected a 12x12 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise ValueError("covariance matrix must be symmetric")
-        object.__setattr__(self, "matrix", m)
+from .moments import com_moments, relative_moments
 
 
 @dataclass(frozen=True)
@@ -67,79 +45,49 @@ class PPTVerdict:
         return self.min_nu < 1.0
 
 
-def symplectic_form(n_modes: int = 6) -> np.ndarray:
-    """Block-diagonal Omega = oplus [[0, 1], [-1, 0]]."""
-    omega = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * n_modes, 2 * n_modes))
-    for j in range(n_modes):
-        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = omega
-    return out
+def _two_mode_nu(a_q: Fraction, a_p: Fraction, c_q: Fraction,
+                 c_p: Fraction) -> tuple[float, float]:
+    """(nu_-, nu_+) of the two-mode block with A = B = diag(a_q, a_p) and
+    C = diag(c_q, c_p): the roots of nu^4 - Delta nu^2 + det = 0, with
 
+        Delta = 2 (a_q a_p + c_q c_p),  det = (a_q^2 - c_q^2)(a_p^2 - c_p^2).
 
-def symplectic_transform() -> np.ndarray:
-    """The 12x12 symplectic S mapping the particle basis to the decoupled one.
-
-    Per axis (equal masses): x = x1 - x2, p_x = (p_{x1} - p_{x2})/2,
-    X = (x1 + x2)/2, P_X = p_{x1} + p_{x2}.  Equivalent to a 50:50
-    beam-splitter combined with a diagonal squeezer.
+    Delta, det and 4 det / Delta^2 are exact, so nothing overflows or cancels;
+    nu_-^2 = det / nu_+^2 avoids the cancellation of the smaller root.  Raises
+    unless the block is positive definite, which makes det and Delta positive.
     """
-    s = np.zeros((12, 12))
-    for axis in range(3):
-        q1, p1 = 2 * axis, 2 * axis + 1           # particle 1, this axis
-        q2, p2 = 6 + 2 * axis, 7 + 2 * axis       # particle 2, this axis
-        rq, rp = 2 * axis, 2 * axis + 1           # relative rows
-        cq, cp = 6 + 2 * axis, 7 + 2 * axis       # centre-of-mass rows
-        s[rq, q1], s[rq, q2] = 1.0, -1.0
-        s[rp, p1], s[rp, p2] = 0.5, -0.5
-        s[cq, q1], s[cq, q2] = 0.5, 0.5
-        s[cp, p1], s[cp, p2] = 1.0, 1.0
-    return s
+    if not (a_q > abs(c_q) and a_p > abs(c_p)):
+        raise ValueError(f"two-mode covariance is not positive definite: a_q = {float(a_q):g}, "
+                         f"c_q = {float(c_q):g}, a_p = {float(a_p):g}, c_p = {float(c_p):g}")
+    delta = 2 * (a_q * a_p + c_q * c_p)
+    det = (a_q * a_q - c_q * c_q) * (a_p * a_p - c_p * c_p)
+    nu_plus2 = float(delta / 2) * (1.0 + math.sqrt(1 - 4 * det / (delta * delta)))
+    return math.sqrt(float(det / Fraction(nu_plus2))), math.sqrt(nu_plus2)
 
 
-def build_covariance(moments: MomentSet) -> CovarianceMatrix:
-    """Particle-basis covariance sigma = S^{-1} sigma' S^{-T} with
-    sigma' = 2 diag(twelve dimensionless variances)."""
-    s = symplectic_transform()
-    s_inv = np.linalg.inv(s)
-    sigma_prime = 2.0 * np.diag(moments.as_diagonal())
-    sigma = s_inv @ sigma_prime @ s_inv.T
-    sigma = 0.5 * (sigma + sigma.T)
-    if np.any(np.linalg.eigvalsh(sigma) <= 0):
-        raise RuntimeError("covariance matrix is not positive definite")
-    return CovarianceMatrix(matrix=sigma, basis=PARTICLE)
+def _particle_block(q2: float, p2: float, X2: float,
+                    P2: float) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(a_q, a_p, c_q, c_p) of one axis in the particle basis, exactly.
 
-
-def partial_transpose(sigma: CovarianceMatrix) -> CovarianceMatrix:
-    """Flip the sign of particle 2's momentum rows and columns (an involution;
-    the diagonal is untouched)."""
-    if sigma.basis != PARTICLE:
-        raise ValueError(f"partial transpose requires the particle basis, got {sigma.basis!r}")
-    flip = np.ones(12)
-    flip[list(_PT_INDICES)] = -1.0
-    d = np.diag(flip)
-    return CovarianceMatrix(matrix=d @ sigma.matrix @ d, basis=PARTICLE)
-
-
-def symplectic_eigenvalues(sigma: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    """The six symplectic eigenvalues: positive square roots of the two-fold
-    degenerate eigenvalues of -(Omega sigma)^2, sorted ascending."""
-    m = sigma.matrix if isinstance(sigma, CovarianceMatrix) else np.asarray(sigma, dtype=float)
-    prod = symplectic_form() @ m
-    eig = np.linalg.eigvals(-(prod @ prod))
-    if np.any(eig.real < -_PAIR_TOL) or np.any(np.abs(eig.imag) > _PAIR_TOL * np.abs(eig.real + 1.0)):
-        raise ArithmeticError("eigenvalues of -(Omega sigma)^2 are not positive real")
-    vals = np.sort(np.sqrt(np.maximum(eig.real, 0.0)))
-    pairs = vals.reshape(6, 2)
-    spread = np.abs(pairs[:, 1] - pairs[:, 0])
-    if np.any(spread > _PAIR_TOL * (1.0 + pairs[:, 1])):
-        raise ArithmeticError("symplectic eigenvalues do not pair within tolerance")
-    return pairs.mean(axis=1)
+    With x1,2 = X +- x/2 and p1,2 = P/2 +- p, in the factor-2 convention:
+    a = 2 Var(x1) and c = 2 Cov(x1, x2), and likewise for the momenta.
+    """
+    q2, p2, X2, P2 = (Fraction(v) for v in (q2, p2, X2, P2))
+    return 2 * X2 + q2 / 2, P2 / 2 + 2 * p2, 2 * X2 - q2 / 2, P2 / 2 - 2 * p2
 
 
 def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
-    """Full numeric pipeline: moments -> covariance -> PT -> eigensolve."""
-    sigma = build_covariance(moment_set(qn, a0_over_b))
-    nu = symplectic_eigenvalues(partial_transpose(sigma))
+    """The six eigenvalues as three exact per-axis two-mode solves.
+
+    The partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of
+    the closed form beyond the twelve variances, so it is its oracle.
+    """
+    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    X2, P2 = com_moments(a0_over_b)
+    nu = []
+    for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2)):
+        a_q, a_p, c_q, c_p = _particle_block(q2, p2, X2, P2)
+        nu.extend(_two_mode_nu(a_q, a_p, c_q, -c_p))
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=tuple(sorted(nu)))
 
 

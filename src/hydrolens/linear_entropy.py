@@ -56,6 +56,9 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     sqrt(1-x^2) times a polynomial of degree 4n+1 in x, so the N = 2n+1 node
     Gauss-Chebyshev rule of the second kind is exact up to rounding.  Its
     weights are all positive, so nothing cancels.
+
+    Raises OverflowError where F_nl overflows on the nodes, from about n = 750
+    (the Gegenbauer factor of radial_momentum).
     """
     if not (0 <= l < n):
         raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
@@ -64,10 +67,14 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     theta = np.arange(1, nodes + 1) * (math.pi / (nodes + 1))
     x, s = np.cos(theta), np.sin(theta)
     k = np.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
-    f = radial_momentum(QuantumNumbers(n, l), a0, k)
-    # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
-    poly = k ** 3 * f ** 4 / s ** 3
-    return math.pi / (nodes + 1) * float(np.dot(s * s, poly))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = radial_momentum(QuantumNumbers(n, l), a0, k)
+        # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
+        poly = k ** 3 * f ** 4 / s ** 3
+        i_rad = math.pi / (nodes + 1) * float(np.dot(s * s, poly))
+    if not math.isfinite(i_rad):
+        raise OverflowError(f"radial purity overflows at n={n}, l={l}")
+    return i_rad
 
 
 def linear_entropy(qn: QuantumNumbers, a0: float = 1.0) -> LinearEntropyResult:

@@ -5,13 +5,12 @@ momenta in units of hbar/a0.  Dimensionful values are obtained by multiplying
 by the appropriate powers of a0 and hbar/a0 at the boundary.
 
 First moments vanish identically by parity, and so do all mixed products
-(<x p_x> etc.), which is why the decoupled-basis covariance matrix is
-diagonal and only the twelve variances below are needed.
+(<x p_x> etc.), so in the relative and centre-of-mass coordinates the
+covariance matrix is diagonal and the variances below determine it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,32 +23,6 @@ _PI = 3.141592653589793
 # The a0/b on which both centre-of-mass variances, and the nu built from them
 # for any n below 1e20, are normal floats.  NaN and +-inf fall outside it.
 _RATIO_RANGE = (1e-100, 1e100)
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """The twelve dimensionless second moments of the localized state.
-
-    Relative position variances are in a0^2, relative momentum variances in
-    (hbar/a0)^2; centre-of-mass entries likewise.  All first moments are
-    identically zero.
-    """
-
-    qn: QuantumNumbers
-    a0_over_b: float
-    x2: float
-    y2: float
-    z2: float
-    px2: float
-    py2: float
-    pz2: float
-    X2: float
-    P2: float
-
-    def as_diagonal(self) -> tuple[float, ...]:
-        """The twelve variances in canonical (x, p_x, ..., Z, P_Z) order."""
-        return (self.x2, self.px2, self.y2, self.py2, self.z2, self.pz2,
-                self.X2, self.P2, self.X2, self.P2, self.X2, self.P2)
 
 
 def kramer_pasternack(qn: QuantumNumbers, q: int) -> float:
@@ -141,9 +114,3 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
                          f"got {ratio[~ok].flat[0]}")
     return 0.5 / (a0_over_b * a0_over_b), 0.5 * a0_over_b * a0_over_b
 
-
-def moment_set(qn: QuantumNumbers, a0_over_b: float) -> MomentSet:
-    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
-    X2, P2 = com_moments(a0_over_b)
-    return MomentSet(qn=qn, a0_over_b=a0_over_b, x2=x2, y2=y2, z2=z2,
-                     px2=px2, py2=py2, pz2=pz2, X2=X2, P2=P2)

@@ -185,6 +185,14 @@ def test_linent_excited_state():
     assert "I_rad = 93503.5  (units a0^3)" in res.stdout
 
 
+
+def test_linent_overflow_is_usage_error():
+    res = run_cli("linent", "--n", "750", "--l", "375")
+    assert res.returncode == 2
+    assert "error" in res.stderr and "n=750, l=375" in res.stderr
+    assert "Warning" not in res.stderr
+    assert res.stdout == ""
+
 def test_linent_finite_volume():
     res = run_cli("linent", "--n", "1", "--l", "0", "--m", "0", "--a0", "1",
                   "--volume", "10")

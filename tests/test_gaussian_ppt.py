@@ -4,56 +4,24 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hydrolens.gaussian_ppt import (
-    DECOUPLED,
-    CovarianceMatrix,
+    _particle_block,
+    _two_mode_nu,
     blind_band_edges,
-    build_covariance,
     detection_map,
-    partial_transpose,
     ppt_closed_form,
     ppt_numeric,
-    symplectic_eigenvalues,
-    symplectic_form,
-    symplectic_transform,
 )
 from hydrolens.hydrogenic import QuantumNumbers
-from hydrolens.moments import moment_set
+from hydrolens.moments import com_moments, relative_moments
 
 GROUND = QuantumNumbers(1, 0, 0)
 ALL_STATES_N4 = [QuantumNumbers(n, l, m)
                  for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)]
 RATIOS = (0.3, 0.8, 1.0, 1.5, 2.5)
-
-
-def test_symplectic_form_squares_to_minus_identity():
-    om = symplectic_form()
-    assert np.array_equal(om @ om, -np.eye(12))
-
-
-def test_transform_is_symplectic():
-    s = symplectic_transform()
-    om = symplectic_form()
-    assert np.allclose(s @ om @ s.T, om, atol=1e-14)
-
-
-def test_covariance_requires_shape_and_symmetry():
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.eye(4))
-    bad = np.eye(12)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        CovarianceMatrix(bad)
-
-
-def test_partial_transpose_involution_and_basis_guard():
-    sigma = build_covariance(moment_set(QuantumNumbers(2, 1, 0), 1.2))
-    back = partial_transpose(partial_transpose(sigma))
-    assert np.allclose(back.matrix, sigma.matrix, atol=0)
-    assert np.allclose(np.diag(partial_transpose(sigma).matrix),
-                       np.diag(sigma.matrix), atol=0)
-    with pytest.raises(ValueError):
-        partial_transpose(CovarianceMatrix(np.eye(12), basis=DECOUPLED))
 
 
 def test_ground_state_closed_form_values():
@@ -74,22 +42,61 @@ def test_exact_threshold_is_not_detected():
     assert v.min_nu == 1.0
 
 
+def _rel_err(numeric, closed):
+    return max(abs(a - b) / b for a, b in zip(numeric, sorted(closed)))
+
+
 def test_pipeline_matches_closed_form():
     for qn in ALL_STATES_N4:
         for ratio in RATIOS:
-            numeric = ppt_numeric(qn, ratio).nu
-            closed = sorted(ppt_closed_form(qn, ratio).nu)
-            for a, b in zip(numeric, closed):
-                assert abs(a - b) <= 1e-10, (qn, ratio)
+            assert _rel_err(ppt_numeric(qn, ratio).nu, ppt_closed_form(qn, ratio).nu) <= 1e-13, \
+                (qn, ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([QuantumNumbers(n, l, m) for n in range(1, 13)
+                        for l in range(n) for m in range(-l, l + 1)]),
+       st.floats(-4.0, 4.0))
+def test_pipeline_matches_closed_form_whole_domain(qn, log_ratio):
+    ratio = 10.0 ** log_ratio
+    assert _rel_err(ppt_numeric(qn, ratio).nu, ppt_closed_form(qn, ratio).nu) <= 1e-13
+
+
+def test_pipeline_at_rydberg_states_and_extreme_ratios():
+    for qn in (QuantumNumbers(200, 0, 0), QuantumNumbers(200, 199, 199),
+               QuantumNumbers(100, 50, 0)):
+        for ratio in (1e-100, 1.0, 1e100):
+            assert _rel_err(ppt_numeric(qn, ratio).nu, ppt_closed_form(qn, ratio).nu) <= 1e-13, \
+                (qn, ratio)
+
+
+def _untransposed_nu(qn, ratio):
+    """The six eigenvalues of the particle-basis blocks before the partial
+    transpose, i.e. with c_p unflipped."""
+    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    X2, P2 = com_moments(ratio)
+    nu = []
+    for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2)):
+        nu.extend(_two_mode_nu(*_particle_block(q2, p2, X2, P2)))
+    return np.array(nu)
 
 
 def test_untransposed_state_is_physical():
+    # A non-canonical particle-basis transform would break the centre-of-mass
+    # modes' exact vacuum value.
     for qn in ALL_STATES_N4:
         for ratio in RATIOS:
-            nu = symplectic_eigenvalues(build_covariance(moment_set(qn, ratio)))
+            nu = _untransposed_nu(qn, ratio)
             assert np.all(nu >= 1.0 - 1e-12), (qn, ratio)
             # Three centre-of-mass modes sit exactly at the vacuum threshold.
             assert np.sum(np.abs(nu - 1.0) <= 1e-12) >= 3, (qn, ratio)
+
+
+def test_two_mode_nu_rejects_non_physical_blocks():
+    # Negative det, negative Delta, and -I, whose det and Delta are positive.
+    for block in ((1, 1, 2, 0), (-1, 1, 0, 0), (-1, -1, 0, 0)):
+        with pytest.raises(ValueError):
+            _two_mode_nu(*block)
 
 
 def _bisected_band(qn, lo=1e-3, hi=1e3, tol=1e-12):

@@ -88,6 +88,15 @@ def test_radial_sum_is_m_independent():
     assert a.i_ang != b.i_ang
 
 
+
+def test_radial_sum_overflow_raises():
+    # F_nl overflows on the Gauss-Chebyshev nodes from about n = 750; the
+    # result must be an error naming the state, with no NaN and no warning.
+    for call in (lambda: radial_sum(750, 375),
+                 lambda: linear_entropy(QuantumNumbers(750, 375, 0))):
+        with pytest.raises(OverflowError, match="n=750, l=375"):
+            call()
+
 def test_s_lin_limits():
     res = linear_entropy(QuantumNumbers(1, 0, 0))
     assert res.s_lin() == 1.0

@@ -9,7 +9,6 @@ from hydrolens.moments import (
     angular_sin2,
     com_moments,
     kramer_pasternack,
-    moment_set,
     relative_moments,
 )
 from hydrolens.oracle import integrate_momentum, integrate_semi_infinite, integrate_theta
@@ -117,10 +116,3 @@ def test_com_moments_minimum_uncertainty():
         with pytest.raises(ValueError):
             com_moments(bad)
 
-
-def test_moment_set_diagonal_order():
-    ms = moment_set(QuantumNumbers(2, 1, 1), 1.5)
-    d = ms.as_diagonal()
-    assert d == (ms.x2, ms.px2, ms.y2, ms.py2, ms.z2, ms.pz2,
-                 ms.X2, ms.P2, ms.X2, ms.P2, ms.X2, ms.P2)
-    assert ms.x2 == ms.y2
