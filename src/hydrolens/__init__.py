@@ -10,7 +10,7 @@ from .gaussian_ppt import (
 )
 from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum, radial_position
 from .linear_entropy import LinearEntropyResult, linear_entropy
-from .moments import kramer_pasternack, relative_moments
+from .moments import relative_moments
 
 __all__ = [
     "LinearEntropyResult",
@@ -20,7 +20,6 @@ __all__ = [
     "SystemParams",
     "blind_band_edges",
     "detection_map",
-    "kramer_pasternack",
     "linear_entropy",
     "ppt_closed_form",
     "ppt_numeric",

@@ -13,10 +13,10 @@ import sys
 
 from .free_schmidt import schmidt_spread
 from .gaussian_ppt import detection_map, ppt_closed_form, ppt_numeric
-from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum
+from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum, radial_position
 from .linear_entropy import linear_entropy
 from .moments import relative_moments
-from .oracle import integrate_momentum, integrate_theta
+from .oracle import integrate_momentum, integrate_semi_infinite, integrate_theta
 from .specfun import spherical_harmonic_sq
 
 EXIT_OK = 0
@@ -166,20 +166,33 @@ def _verify_checks(n_max: int):
     yield "momentum normalization", ok
 
     ok = True
+    k4 = {}
     for qn in zero_m:
-        val, _ = integrate_momentum(
+        k4[qn.n, qn.l], _ = integrate_momentum(
             lambda k: k ** 4 * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
-        ok &= abs(qn.n ** 2 * a0 ** 2 * val - 1.0) <= 1e-8
+        ok &= abs(qn.n ** 2 * a0 ** 2 * k4[qn.n, qn.l] - 1.0) <= 1e-8
     yield "momentum fourth moment", ok
 
+    # Each variance against quadrature: <r^2> once per (n, l), <k^2> from the
+    # check above, and the angular factors f_perp and f_z once per (l, m).
     ok = True
+    r4, ang = {}, {}
     for qn in states:
-        x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
-        n, l = qn.n, qn.l
-        r2 = n * n * (5 * n * n - 3 * l * (l + 1) + 1) / 2.0
-        ok &= abs(x2 + y2 + z2 - r2) <= 1e-12 * r2
-        ok &= abs(px2 + py2 + pz2 - 1.0 / (n * n)) <= 1e-12
-    yield "moment sum rules", ok
+        n, l, m = qn.n, qn.l, qn.m
+        if (n, l) not in r4:
+            r4[n, l], _ = integrate_semi_infinite(
+                lambda r: r ** 4 * radial_position(qn, a0, r) ** 2)
+        if (l, m) not in ang:
+            ang[l, m] = (
+                math.pi * integrate_theta(
+                    lambda t: math.sin(t) ** 3 * spherical_harmonic_sq(l, m, t)),
+                2.0 * math.pi * integrate_theta(
+                    lambda t: math.sin(t) * math.cos(t) ** 2 * spherical_harmonic_sq(l, m, t)))
+        f_perp, f_z = ang[l, m]
+        quad = (r4[n, l] * f_perp, r4[n, l] * f_perp, r4[n, l] * f_z,
+                k4[n, l] * f_perp, k4[n, l] * f_perp, k4[n, l] * f_z)
+        ok &= all(abs(c - q) <= 1e-11 * q for c, q in zip(relative_moments(qn), quad))
+    yield "second moments", ok
 
     ok = True
     for qn in states:
@@ -260,13 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", type=_positive, help="finite normalization volume")
     p.set_defaults(func=cmd_linent)
 
+    # Each handler reports usage errors through its own subcommand's parser.
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(parser, args)
+    args = build_parser().parse_args(argv)
+    return args.func(args.parser, args)
 
 
 if __name__ == "__main__":

@@ -54,35 +54,26 @@ class SystemParams:
     derived reduced Bohr radius a0 = hbar^2 / (mu * alpha).
 
     Either construct from (alpha, mu, hbar) or supply a0 directly, in which
-    case alpha and mu are optional metadata.  The wavepacket width b is only
-    needed for localized analyses.
+    case alpha and mu are optional metadata.
     """
 
     a0: float
     alpha: float | None = None
     mu: float | None = None
     hbar: float = 1.0
-    b: float | None = None
 
     def __post_init__(self):
-        for name in ("a0", "alpha", "mu", "hbar", "b"):
+        for name in ("a0", "alpha", "mu", "hbar"):
             value = getattr(self, name)
             if value is not None:
                 _check_positive(name, value)
 
     @classmethod
-    def from_coupling(cls, alpha: float, mu: float, hbar: float = 1.0,
-                      b: float | None = None) -> "SystemParams":
+    def from_coupling(cls, alpha: float, mu: float, hbar: float = 1.0) -> "SystemParams":
         if alpha <= 0 or mu <= 0:
             raise ValueError("alpha and mu must be positive")
         # Divided in turn: the product mu * alpha can underflow to zero.
-        return cls(a0=hbar * hbar / mu / alpha, alpha=alpha, mu=mu, hbar=hbar, b=b)
-
-    @property
-    def a0_over_b(self) -> float:
-        if self.b is None:
-            raise ValueError("wavepacket width b is not set")
-        return self.a0 / self.b
+        return cls(a0=hbar * hbar / mu / alpha, alpha=alpha, mu=mu, hbar=hbar)
 
 
 def _radial_argument(a0: float, x, name: str):

@@ -22,6 +22,8 @@ from .hydrogenic import QuantumNumbers, radial_position
 
 _GL_ORDER = 21
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+# Lower bound on the scale of the relative tolerance, for integrals that are 0.
+_ABS_FLOOR = 1e-300
 
 
 class QuadratureError(ArithmeticError):
@@ -41,7 +43,6 @@ class QuadratureSpec:
     a: float = -1.0
     b: float = 1.0
     rel_tol: float = 1e-12
-    abs_floor: float = 1e-300
     max_subdivisions: int = 4000
 
     def __post_init__(self):
@@ -68,7 +69,7 @@ def integrate(spec: QuadratureSpec) -> tuple[float, float]:
     total = 0.0
     err = 0.0
     splits = 0
-    scale = max(abs(whole), spec.abs_floor)
+    scale = max(abs(whole), _ABS_FLOOR)
     while stack:
         a, b, coarse = stack.pop()
         m = 0.5 * (a + b)
@@ -170,13 +171,6 @@ class RacahValue:
 
     sign: int
     square: Fraction = field(default_factory=lambda: Fraction(0))
-
-    def __float__(self) -> float:
-        return self.sign * math.sqrt(float(self.square))
-
-    @property
-    def value(self) -> float:
-        return float(self)
 
 
 def racah_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> RacahValue:

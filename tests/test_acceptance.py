@@ -106,7 +106,7 @@ def test_criterion_4_moment_sum_rules_and_quadrature():
                              (px2, rad_k * sin2 * math.pi),
                              (py2, rad_k * sin2 * math.pi),
                              (pz2, rad_k * cos2 * 2 * math.pi)]:
-            ok &= abs(closed - quad) <= 1e-6 * abs(quad)
+            ok &= abs(closed - quad) <= 1e-11 * abs(quad)
     report(4, "moment sum rules and quadrature", ok)
 
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hydrolens import cli
+from hydrolens.hydrogenic import QuantumNumbers
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 
@@ -137,8 +138,23 @@ def test_verify_passes():
     assert res.returncode == 0
     out = res.stdout
     for name in ("momentum normalization", "momentum fourth moment",
-                 "moment sum rules", "eigenvalue pipeline", "linear entropy"):
+                 "second moments", "eigenvalue pipeline", "linear entropy"):
         assert f"{name}: pass" in out
+
+
+def test_verify_second_moments_catch_a_perturbed_variance(monkeypatch):
+    # The check compares against quadrature, so a 1e-10 relative error in one
+    # variance of one state fails it.
+    exact = cli.relative_moments
+
+    def perturbed(qn):
+        x2, y2, z2, px2, py2, pz2 = exact(qn)
+        if qn == QuantumNumbers(2, 1, 1):
+            pz2 *= 1 + 1e-10
+        return x2, y2, z2, px2, py2, pz2
+
+    monkeypatch.setattr(cli, "relative_moments", perturbed)
+    assert dict(cli._verify_checks(2))["second moments"] is False
 
 
 def test_verify_injected_failure(monkeypatch, capsys):
@@ -162,12 +178,16 @@ def test_verify_injected_failure(monkeypatch, capsys):
     ["ppt", "--a0", "1e-300", "--b", "1e300"],
     ["map", "--points", "2", "--a0-max", "1e300", "--b-min", "1e-300"],
     ["schmidt", "--n", "1", "--alpha", "1e-300", "--mu", "1e-300"],
+    # Usage errors raised by the handlers, not by argparse.
+    ["ppt", "--n", "2", "--l", "5"],
+    ["schmidt", "--n", "1"],
 ])
 def test_non_finite_input_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage: hydrolens {argv[0]} ")
     assert "error" in captured.err
     assert captured.out == ""
 

@@ -38,16 +38,13 @@ def test_system_params():
     with pytest.raises(ValueError):
         SystemParams(a0=-1.0)
     for bad in (math.nan, math.inf, -math.inf):
-        for field in ("a0", "alpha", "mu", "hbar", "b"):
+        for field in ("a0", "alpha", "mu", "hbar"):
             with pytest.raises(ValueError):
                 SystemParams(**{"a0": 1.0, field: bad})
     # a0 = hbar^2 / (mu alpha) overflows, or underflows to zero.
     for alpha, mu in ((1e-300, 1e-300), (1e300, 1e300)):
         with pytest.raises(ValueError):
             SystemParams.from_coupling(alpha=alpha, mu=mu)
-    with pytest.raises(ValueError):
-        SystemParams(a0=1.0).a0_over_b
-    assert math.isclose(SystemParams(a0=2.0, b=4.0).a0_over_b, 0.5)
 
 
 def test_ground_state_at_origin():
