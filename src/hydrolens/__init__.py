@@ -2,6 +2,7 @@
 
 from .free_schmidt import SchmidtSpread, schmidt_spread, reduced_mass_comparison
 from .gaussian_ppt import (
+    DetectionMap,
     PPTVerdict,
     blind_band_edges,
     detection_map,
@@ -13,6 +14,7 @@ from .linear_entropy import LinearEntropyResult, linear_entropy
 from .moments import relative_moments
 
 __all__ = [
+    "DetectionMap",
     "LinearEntropyResult",
     "PPTVerdict",
     "QuantumNumbers",

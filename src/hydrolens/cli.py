@@ -7,12 +7,12 @@ detected, 4 I/O error, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from itertools import chain, repeat
 
 from .free_schmidt import schmidt_spread
-from .gaussian_ppt import detection_map, ppt_closed_form, ppt_numeric
+from .gaussian_ppt import DetectionMap, detection_map, ppt_closed_form, ppt_numeric
 from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum, radial_position
 from .linear_entropy import linear_entropy
 from .moments import relative_moments
@@ -24,11 +24,6 @@ EXIT_USAGE = 2
 EXIT_NOT_DETECTED = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
-
-
-def _fmt(x: float) -> str:
-    """Round-trip-safe serialization (17 significant digits)."""
-    return format(x, ".17g")
 
 
 def _human(x: float) -> str:
@@ -98,35 +93,52 @@ def cmd_ppt(parser, args) -> int:
     return EXIT_OK if verdict.detected else EXIT_NOT_DETECTED
 
 
-def _map_rows(args, qn: QuantumNumbers):
-    return detection_map(qn, (args.a0_min, args.a0_max), (args.b_min, args.b_max),
-                         args.points)
+def _write_map(grid: DetectionMap, fmt: str, stream) -> None:
+    """Write the map one a0 value at a time: its points rows, b inner, come
+    from one %-format of the row template repeated points times.
 
-
-def _write_map(rows, fmt: str, stream) -> None:
+    CSV floats take %.17g, as format(v, ".17g") does, so every value round
+    trips.  JSON floats take %r, which is float.__repr__ as json.dumps writes
+    it, in json.dumps(rows, indent=2) layout.  b is formatted once for the
+    whole map and each a0 once for its block, so memory is O(points) strings.
+    """
     header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
+    num = "%.17g" if fmt == "csv" else "%r"
+    conversions = ("%s", "%s", num, num, num, num, num, "%d")
     if fmt == "csv":
-        stream.write(",".join(header) + "\n")
-        for row in rows:
-            *vals, detected = row
-            stream.write(",".join(_fmt(v) for v in vals) + f",{int(detected)}\n")
+        head = ",".join(header) + "\n"
+        row = ",".join(conversions) + "\n"
     else:
-        payload = [dict(zip(header, (*row[:-1], int(row[-1])))) for row in rows]
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        head = "[\n"
+        row = "  {\n" + ",\n".join(f'    "{key}": {conv}' for key, conv
+                                    in zip(header, conversions)) + "\n  },\n"
+    points = len(grid.b)
+    template = row * points
+    b = [num % v for v in grid.b.tolist()]
+    stream.write(head)
+    for i, a0 in enumerate(grid.a0.tolist()):
+        block = template % tuple(chain.from_iterable(zip(
+            repeat(num % a0, points), b, grid.nu1[i].tolist(), grid.nu2[i].tolist(),
+            grid.nu5[i].tolist(), grid.nu6[i].tolist(), grid.min_nu[i].tolist(),
+            grid.detected[i].tolist())))
+        if fmt == "json" and i == points - 1:
+            block = block[:-2] + "\n]\n"  # no comma after the last object
+        stream.write(block)
 
 
 def cmd_map(parser, args) -> int:
     qn = _quantum_numbers(parser, args)
     try:
-        rows = _map_rows(args, qn)
+        grid = detection_map(qn, (args.a0_min, args.a0_max), (args.b_min, args.b_max),
+                             args.points)
     except ValueError as exc:  # too few points, or a0/b out of range
         parser.error(str(exc))
     if args.output is None:
-        _write_map(rows, args.format, sys.stdout)
+        _write_map(grid, args.format, sys.stdout)
         return EXIT_OK
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            _write_map(rows, args.format, fh)
+            _write_map(grid, args.format, fh)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -9,7 +9,7 @@ detected.
 All first moments and mixed products vanish, so the 12x12 covariance matrix
 is block-diagonal by axis: three two-mode Gaussians (x1, p1, x2, p2).  The
 six eigenvalues have a closed form in the ratio a0/b; it gives the point
-verdict, the detection map (the whole grid as one array) and the blind band.
+verdict, the detection map (the whole grid as columns) and the blind band.
 ppt_numeric is its independent oracle: it builds each axis's particle-basis
 block from the variances alone and takes the partially transposed spectrum
 from the invariants Delta and det sigma in exact rational arithmetic.
@@ -111,29 +111,49 @@ def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=nu)
 
 
-def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
-                  b_range: tuple[float, float], points: int):
-    """Row-major grid of PPT verdicts over (a0, b) pairs, a0 outer and b inner.
+@dataclass(frozen=True, eq=False)
+class DetectionMap:
+    """The detection map as columns over a points x points grid.
 
-    Returns a list of (a0, b, nu1, nu2, nu5, nu6, min_nu, detected) tuples of
-    Python floats and a bool; every value depends on a0 and b only through
-    the ratio a0/b.  Each row equals ppt_closed_form at that cell.
+    a0 and b hold the grid values of each axis, a0 outer and b inner; every
+    other field is a (points, points) array whose [i, j] entry belongs to the
+    cell (a0[i], b[j]).  nu3 and nu4 are left out: they repeat nu1 and nu2
+    (x and y are degenerate).
+    """
+
+    a0: np.ndarray
+    b: np.ndarray
+    nu1: np.ndarray
+    nu2: np.ndarray
+    nu5: np.ndarray
+    nu6: np.ndarray
+    min_nu: np.ndarray
+    detected: np.ndarray
+
+
+def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
+                  b_range: tuple[float, float], points: int) -> DetectionMap:
+    """PPT verdicts over the (a0, b) grid of points values per axis, as columns.
+
+    Each axis is one np.linspace over its range, which may be ascending,
+    descending or a single value.  Every value depends on a0 and b only
+    through the ratio a0/b, and each cell equals ppt_closed_form there.
     """
     if points < 2:
         raise ValueError(f"grid resolution must be >= 2, got {points}")
     bounds = np.array([*a0_range, *b_range], dtype=float)
     if not np.all(np.isfinite(bounds) & (bounds > 0)):
         raise ValueError(f"a0 and b ranges must be finite and positive, got {a0_range}, {b_range}")
-    a0 = np.repeat(np.linspace(a0_range[0], a0_range[1], points), points)
-    b = np.tile(np.linspace(b_range[0], b_range[1], points), points)
+    a0 = np.linspace(a0_range[0], a0_range[1], points)
+    b = np.linspace(b_range[0], b_range[1], points)
     # An a0/b that overflows or underflows is rejected by com_moments' range
     # check, so numpy need not warn about it.
     with np.errstate(over="ignore", under="ignore"):
-        ratio = a0 / b
-    nu = np.array(_nu(qn, ratio))
-    min_nu = nu.min(axis=0)
-    columns = (a0, b, nu[0], nu[1], nu[4], nu[5], min_nu, min_nu < 1.0)
-    return list(zip(*(c.tolist() for c in columns)))
+        ratio = a0[:, None] / b
+    nu = _nu(qn, ratio)
+    min_nu = np.min(nu, axis=0)
+    return DetectionMap(a0=a0, b=b, nu1=nu[0], nu2=nu[1], nu5=nu[4], nu6=nu[5],
+                        min_nu=min_nu, detected=min_nu < 1.0)
 
 
 def blind_band_edges(qn: QuantumNumbers) -> tuple[float, float] | None:

@@ -10,7 +10,9 @@ radial_position and radial_momentum take r or k as a float or a numpy array
 and run one recurrence in degree on it, with prefactors from lgamma.  No
 (n+l)! is formed, so Rydberg states need no separate path.  Both reject an
 r or k that is negative or not finite, and an a0 that is not finite and
-positive.
+positive.  Where a value overflows a float, at Rydberg n beyond the limits
+their docstrings give, both raise OverflowError naming (n, l); neither
+returns inf or nan.
 
 Internally everything is a pure function of (quantum numbers, a0); dimensionful
 parameters enter only through SystemParams at the API boundary.
@@ -19,11 +21,15 @@ parameters enter only through SystemParams at the API boundary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import _float_or_array, gegenbauer
+
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -90,6 +96,27 @@ def _radial_argument(a0: float, x, name: str):
     return x
 
 
+def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x):
+    """evaluate(qn, a0, x), or OverflowError naming the state if any value is
+    not finite.
+
+    numpy's overflow warnings are silenced for an array x, since the check
+    reports them.  Python float arithmetic overflows to inf or nan without a
+    warning, and entering np.errstate would cost about as much as a whole
+    scalar call, so a float x gets no errstate.
+    """
+    if isinstance(x, float):
+        value = evaluate(qn, a0, x)
+        ok = math.isfinite(value)
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = evaluate(qn, a0, x)
+        ok = bool(np.isfinite(value).all())
+    if not ok:
+        raise OverflowError(f"{name} overflows a float at n={qn.n}, l={qn.l}")
+    return value
+
+
 def radial_position(qn: QuantumNumbers, a0: float, r):
     """Radial wavefunction R_nl(r), units length^{-3/2}.
 
@@ -100,11 +127,15 @@ def radial_position(qn: QuantumNumbers, a0: float, r):
 
     in the modern Laguerre convention.  The three-term recurrence in degree
     runs on M_k = c^{k+1} L_k with c = e^{T/(d+1)}, so M_d is R_nl itself and
-    neither e^T nor L_d is formed on its own; values stay finite to n = 1000.
-    r may be a float or a numpy array; a float r gives a float.  Has exactly
-    d nodes on (0, inf).
+    neither e^T nor L_d is formed on its own.  Values are finite for every l
+    and r <= 4 n^2 a0 up to n = 1284; from n = 1285 (at l = 0) the recurrence
+    overflows and OverflowError names the state.  r may be a float or a numpy
+    array; a float r gives a float.  Has exactly d nodes on (0, inf).
     """
-    r = _radial_argument(a0, r, "radial coordinate")
+    return _checked(_position, "R_nl", qn, a0, _radial_argument(a0, r, "radial coordinate"))
+
+
+def _position(qn: QuantumNumbers, a0: float, r):
     n, l = qn.n, qn.l
     d, p = n - l - 1, 2 * l + 1
     rho = 2.0 * r / (n * a0)
@@ -117,8 +148,7 @@ def radial_position(qn: QuantumNumbers, a0: float, r):
         c = math.exp(t / (d + 1))
     else:
         if l:
-            with np.errstate(divide="ignore"):
-                t = t + l * np.log(rho)
+            t = t + l * np.log(rho)
         c = np.exp(t / (d + 1))
     m_prev, m = 0.0, c
     for k in range(d):
@@ -134,16 +164,22 @@ def radial_momentum(qn: QuantumNumbers, a0: float, k):
         F_nl = N (s/(s^2+1))^l (s^2+1)^{-2} C^{(l+1)}_{n-l-1}(x),
         N    = sqrt(2/pi (n-l-1)!/(n+l)!) n^2 2^{2l+2} l! a0^{3/2},
 
-    with N built from lgamma and the base s/(s^2+1) at most 1/2; values stay
-    finite to n = 700.  k may be a float or a numpy array; a float k gives a
-    float.
+    with N built from lgamma and the base s/(s^2+1) at most 1/2.  Values are
+    finite for every l and k up to n = 735.  From n = 736 the Gegenbauer
+    factor, which reaches C(n+l, n-l-1) at x = 1, overflows for some l and
+    large k, and OverflowError names the state.  k may be a float or a numpy
+    array; a float k gives a float.
     """
-    k = _radial_argument(a0, k, "wavevector magnitude")
+    return _checked(_momentum, "F_nl", qn, a0, _radial_argument(a0, k, "wavevector magnitude"))
+
+
+def _momentum(qn: QuantumNumbers, a0: float, k):
     n, l = qn.n, qn.l
-    pref = math.exp(
-        0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
-        + 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
-        + 1.5 * math.log(a0))
+    log_pref = (0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
+                + 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
+                + 1.5 * math.log(a0))
+    # N alone overflows from about n = 1030 at l = n - 1; _checked reports it.
+    pref = math.exp(log_pref) if log_pref < _LOG_MAX else math.inf
     s = n * a0 * k
     u1 = s * s + 1.0
     return pref * (s / u1) ** l / (u1 * u1) * gegenbauer(l + 1, n - l - 1, 1.0 - 2.0 / u1)

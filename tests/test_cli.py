@@ -1,14 +1,22 @@
+import hashlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from hydrolens import cli
+from hydrolens.gaussian_ppt import detection_map, ppt_closed_form
 from hydrolens.hydrogenic import QuantumNumbers
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
+# sha256sum line of `hydrolens map --n 7 --l 3 --m 1 --points 256` as CSV.
+GOLDEN_256_SHA = pathlib.Path(__file__).parent / "golden" / "map_256x256.sha256"
 
 
 def run_cli(*args):
@@ -124,6 +132,54 @@ def test_map_golden_file_byte_stable(tmp_path):
     res = run_cli("map", "--output", str(out))
     assert res.returncode == 0
     assert out.read_bytes() == GOLDEN.read_bytes()
+
+
+def test_map_256_matches_committed_sha256(tmp_path):
+    out = tmp_path / "map256.csv"
+    assert cli.main(["map", "--n", "7", "--l", "3", "--m", "1", "--points", "256",
+                     "--output", str(out)]) == 0
+    want = GOLDEN_256_SHA.read_text().split()[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+def _reference_map(qn, a0_range, b_range, points):
+    """CSV and JSON text of the map, one row at a time from ppt_closed_form."""
+    header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
+    lines, rows = [",".join(header) + "\n"], []
+    for a0 in np.linspace(*a0_range, points).tolist():
+        for b in np.linspace(*b_range, points).tolist():
+            v = ppt_closed_form(qn, a0 / b)
+            row = (a0, b, v.nu[0], v.nu[1], v.nu[4], v.nu[5], v.min_nu, int(v.detected))
+            lines.append(",".join(format(x, ".17g") for x in row[:-1]) + f",{row[-1]}\n")
+            rows.append(dict(zip(header, row)))
+    return "".join(lines), json.dumps(rows, indent=2) + "\n"
+
+
+@st.composite
+def _axis(draw):
+    """An axis range: ascending, descending or a single value."""
+    lo, hi = sorted(draw(st.floats(1e-3, 1e3)) for _ in range(2))
+    return draw(st.sampled_from(((lo, hi), (hi, lo), (lo, lo))))
+
+
+@st.composite
+def _state(draw):
+    n = draw(st.integers(1, 12))
+    l = draw(st.integers(0, n - 1))
+    return QuantumNumbers(n, l, draw(st.integers(-l, l)))
+
+
+# No shrink phase: an example writes up to 64^2 cells twice, and shrinking a
+# failure would take minutes; the failing example is reported as drawn.
+@settings(max_examples=60, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(qn=_state(), a0_range=_axis(), b_range=_axis(), points=st.integers(2, 64))
+def test_write_map_matches_row_by_row_reference(qn, a0_range, b_range, points):
+    grid = detection_map(qn, a0_range, b_range, points)
+    for fmt, want in zip(("csv", "json"), _reference_map(qn, a0_range, b_range, points)):
+        out = io.StringIO()
+        cli._write_map(grid, fmt, out)
+        assert out.getvalue() == want, fmt
 
 
 def test_map_unwritable_path_is_io_error(tmp_path):

@@ -175,29 +175,31 @@ def test_inside_blind_band_not_detected():
 
 
 def test_detection_map_grid_order_and_values():
-    rows = detection_map(GROUND, (1.0, 2.0), (1.0, 2.0), 2)
-    assert len(rows) == 4
-    # Row-major: a0 outer, b inner.
-    assert [(r[0], r[1]) for r in rows] == [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0)]
-    for r in rows:
-        v = ppt_closed_form(GROUND, r[0] / r[1])
-        assert math.isclose(r[6], v.min_nu, rel_tol=1e-14)
-    assert all(r[7] for r in rows)
+    grid = detection_map(GROUND, (1.0, 2.0), (1.0, 2.0), 2)
+    assert grid.a0.tolist() == [1.0, 2.0] and grid.b.tolist() == [1.0, 2.0]
+    # Cell [i, j] is (a0[i], b[j]): a0 outer, b inner.
+    for i, a0 in enumerate((1.0, 2.0)):
+        for j, b in enumerate((1.0, 2.0)):
+            v = ppt_closed_form(GROUND, a0 / b)
+            assert math.isclose(grid.min_nu[i, j], v.min_nu, rel_tol=1e-14)
+    assert grid.detected.all()
     # One state per n, on ranges whose a0/b spans [1e-4, 1e4].
     for n in range(1, 13):
         qn = QuantumNumbers(n, n // 2, -(n // 3))
         for a0_range, b_range in (((1e-2, 1e2), (1e-2, 1e2)),
                                   ((1e2, 1e-2), (3e-1, 7e1)),
                                   ((1e-4, 1e-4), (1.0, 1e-8))):
-            rows = detection_map(qn, a0_range, b_range, 7)
-            a0s = np.linspace(*a0_range, 7)
-            bs = np.linspace(*b_range, 7)
-            assert [(r[0], r[1]) for r in rows] == [(a0, b) for a0 in a0s for b in bs]
-            for r in rows:
-                assert all(type(v) is float for v in r[:7]) and type(r[7]) is bool
-                v = ppt_closed_form(qn, r[0] / r[1])
-                assert r == (r[0], r[1], v.nu[0], v.nu[1], v.nu[4], v.nu[5],
-                             v.min_nu, v.detected), (qn, r)
+            grid = detection_map(qn, a0_range, b_range, 7)
+            assert grid.a0.tolist() == np.linspace(*a0_range, 7).tolist()
+            assert grid.b.tolist() == np.linspace(*b_range, 7).tolist()
+            cells = (grid.nu1, grid.nu2, grid.nu5, grid.nu6, grid.min_nu, grid.detected)
+            assert all(c.shape == (7, 7) for c in cells) and grid.detected.dtype == bool
+            for i, a0 in enumerate(grid.a0.tolist()):
+                for j, b in enumerate(grid.b.tolist()):
+                    v = ppt_closed_form(qn, a0 / b)
+                    got = tuple(c[i, j].item() for c in cells)
+                    assert got == (v.nu[0], v.nu[1], v.nu[4], v.nu[5],
+                                   v.min_nu, v.detected), (qn, a0, b)
 
 
 def test_detection_map_validation():

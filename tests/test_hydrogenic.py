@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -163,6 +164,47 @@ def test_rydberg_normalisation_and_moments():
     # (n+l)!^3 overflowed a float from n + l = 72 on.
     value = radial_position(QuantumNumbers(72, 0, 0), 1.0, 0.01)
     assert type(value) is float and math.isfinite(value)
+
+
+def test_overflow_raises_naming_the_state():
+    # Past the documented limits a value overflows a float.  On an array and
+    # on a float that is an OverflowError naming (n, l): never inf or nan, and
+    # no numpy RuntimeWarning.  N_nl alone overflows at (1100, 1099).
+    cases = [(radial_momentum, QuantumNumbers(750, 375), np.linspace(0.0, 1.0, 41)),
+             (radial_momentum, QuantumNumbers(1100, 1099), np.linspace(0.0, 0.01, 41)),
+             (radial_position, QuantumNumbers(1600, 0), np.linspace(0.0, 4.0 * 1600 ** 2, 41))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, qn, x in cases:
+            name = f"n={qn.n}, l={qn.l}"
+            with pytest.raises(OverflowError, match=name):
+                f(qn, 1.0, x)
+            raised = 0
+            for xi in x.tolist():
+                try:
+                    assert math.isfinite(f(qn, 1.0, xi)), (f.__name__, qn, xi)
+                except OverflowError as exc:
+                    assert name in str(exc)
+                    raised += 1
+            assert raised, (f.__name__, qn)
+
+
+def test_finite_up_to_the_documented_limits():
+    # radial_momentum: every l to n = 735.  At n = 736 it fails at large k for
+    # l = 315..341, around l = 328, where C(n+l, n-l-1) is largest.
+    s = np.concatenate([np.linspace(0.0, 6.0, 61), np.geomspace(6.0, 1e12, 200)])
+    for l in range(300, 360):
+        assert np.isfinite(radial_momentum(QuantumNumbers(735, l), 1.0, s / 735)).all(), l
+    with pytest.raises(OverflowError, match="n=736, l=316"):
+        radial_momentum(QuantumNumbers(736, 316), 1.0, s / 736)
+    # radial_position: r <= 4 n^2 a0 to n = 1284; l = 0 fails first.
+    for n, ok in ((1284, True), (1285, False)):
+        r = np.linspace(0.0, 4.0 * n * n, 4001)
+        if ok:
+            assert np.isfinite(radial_position(QuantumNumbers(n, 0), 1.0, r)).all()
+        else:
+            with pytest.raises(OverflowError, match=f"n={n}, l=0"):
+                radial_position(QuantumNumbers(n, 0), 1.0, r)
 
 
 def _mp_position(n, l, a0, r):
