@@ -21,15 +21,11 @@ parameters enter only through SystemParams at the API boundary.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .specfun import _float_or_array, gegenbauer
-
-
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -103,15 +99,19 @@ def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x):
     numpy's overflow warnings are silenced for an array x, since the check
     reports them.  Python float arithmetic overflows to inf or nan without a
     warning, and entering np.errstate would cost about as much as a whole
-    scalar call, so a float x gets no errstate.
+    scalar call, so a float x gets no errstate.  math.exp raises its own
+    OverflowError instead, which is re-raised naming the state.
     """
-    if isinstance(x, float):
-        value = evaluate(qn, a0, x)
-        ok = math.isfinite(value)
-    else:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    try:
+        if isinstance(x, float):
             value = evaluate(qn, a0, x)
-        ok = bool(np.isfinite(value).all())
+            ok = math.isfinite(value)
+        else:
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                value = evaluate(qn, a0, x)
+            ok = bool(np.isfinite(value).all())
+    except OverflowError:
+        ok = False
     if not ok:
         raise OverflowError(f"{name} overflows a float at n={qn.n}, l={qn.l}")
     return value
@@ -175,11 +175,11 @@ def radial_momentum(qn: QuantumNumbers, a0: float, k):
 
 def _momentum(qn: QuantumNumbers, a0: float, k):
     n, l = qn.n, qn.l
-    log_pref = (0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
-                + 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
-                + 1.5 * math.log(a0))
     # N alone overflows from about n = 1030 at l = n - 1; _checked reports it.
-    pref = math.exp(log_pref) if log_pref < _LOG_MAX else math.inf
+    pref = math.exp(
+        0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
+        + 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
+        + 1.5 * math.log(a0))
     s = n * a0 * k
     u1 = s * s + 1.0
     return pref * (s / u1) ** l / (u1 * u1) * gegenbauer(l + 1, n - l - 1, 1.0 - 2.0 / u1)

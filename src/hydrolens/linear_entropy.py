@@ -57,8 +57,10 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     Gauss-Chebyshev rule of the second kind is exact up to rounding.  Its
     weights are all positive, so nothing cancels.
 
-    Raises radial_momentum's OverflowError where F_nl overflows on the nodes,
-    from n = 736.  A finite F_nl keeps every term finite.
+    Raises OverflowError naming (n, l) where a term is not finite: where F_nl
+    overflows on the nodes (radial_momentum's error, from n = 736), and where
+    F^4 or k^3 overflows although F_nl does not, at an a0 far from 1 (F_nl
+    scales as a0^1.5 and k as 1/a0, so a0 = 1e100 or 1e-110 at n = 1).
     """
     if not (0 <= l < n):
         raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
@@ -68,9 +70,13 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     x, s = np.cos(theta), np.sin(theta)
     k = np.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
     f = radial_momentum(QuantumNumbers(n, l), a0, k)
-    # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
-    poly = k ** 3 * f ** 4 / s ** 3
-    return math.pi / (nodes + 1) * float(np.dot(s * s, poly))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
+        poly = k ** 3 * f ** 4 / s ** 3
+        i_rad = math.pi / (nodes + 1) * float(np.dot(s * s, poly))
+    if not math.isfinite(i_rad):
+        raise OverflowError(f"radial purity overflows at n={n}, l={l}")
+    return i_rad
 
 
 def linear_entropy(qn: QuantumNumbers, a0: float = 1.0) -> LinearEntropyResult:

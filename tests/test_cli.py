@@ -263,11 +263,14 @@ def test_linent_excited_state():
 
 
 def test_linent_overflow_is_usage_error():
-    res = run_cli("linent", "--n", "750", "--l", "375")
-    assert res.returncode == 2
-    assert "error" in res.stderr and "n=750, l=375" in res.stderr
-    assert "Warning" not in res.stderr
-    assert res.stdout == ""
+    for argv, state in ((("--n", "750", "--l", "375"), "n=750, l=375"),
+                        (("--n", "1", "--a0", "1e100"), "n=1, l=0"),
+                        (("--n", "1", "--a0", "1e-110"), "n=1, l=0")):
+        res = run_cli("linent", *argv)
+        assert res.returncode == 2, argv
+        assert "error" in res.stderr and state in res.stderr
+        assert "Warning" not in res.stderr
+        assert res.stdout == ""
 
 def test_linent_finite_volume():
     res = run_cli("linent", "--n", "1", "--l", "0", "--m", "0", "--a0", "1",

@@ -187,6 +187,10 @@ def test_overflow_raises_naming_the_state():
                     assert name in str(exc)
                     raised += 1
             assert raised, (f.__name__, qn)
+        # At a0 = 1e-300 the prefactor e^{T/(d+1)} of R_10 overflows math.exp.
+        for r in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(OverflowError, match="R_nl overflows a float at n=1, l=0"):
+                radial_position(QuantumNumbers(1, 0), 1e-300, r)
 
 
 def test_finite_up_to_the_documented_limits():

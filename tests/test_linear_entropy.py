@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,13 @@ def test_radial_sum_overflow_raises():
                  lambda: linear_entropy(QuantumNumbers(750, 375, 0))):
         with pytest.raises(OverflowError, match="n=750, l=375"):
             call()
+    # F_nl is finite at a0 far from 1, but F^4 (a0 = 1e100) or k^3
+    # (a0 = 1e-110) overflows in the sum: an error too, never inf or nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a0 in (1e100, 1e-110):
+            with pytest.raises(OverflowError, match="n=1, l=0"):
+                linear_entropy(QuantumNumbers(1, 0, 0), a0)
 
 def test_s_lin_limits():
     res = linear_entropy(QuantumNumbers(1, 0, 0))
