@@ -7,6 +7,7 @@ detected, 4 I/O error, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from itertools import chain, repeat
@@ -243,7 +244,10 @@ def _add_qn_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=0, help="magnetic quantum number")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hydrolens parser, built on first use and reused by every later
+    call: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hydrolens",
         description="Entanglement witnesses for hydrogen-like two-body systems.")

@@ -12,14 +12,14 @@ six eigenvalues have a closed form in the ratio a0/b; it gives the point
 verdict, the detection map (the whole grid as columns) and the blind band.
 ppt_numeric is its independent oracle: it builds each axis's particle-basis
 block from the variances alone and takes the partially transposed spectrum
-from the invariants Delta and det sigma in exact rational arithmetic.
+from the invariants Delta and det sigma in exact integer arithmetic on one
+power-of-two scale, rounding each eigenvalue's quotient once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,39 +45,53 @@ class PPTVerdict:
         return self.min_nu < 1.0
 
 
-def _two_mode_nu(a_q: Fraction, a_p: Fraction, c_q: Fraction,
-                 c_p: Fraction) -> tuple[float, float]:
+def _two_mode_nu(a_q: int, a_p: int, c_q: int, c_p: int,
+                 e: int) -> tuple[float, float]:
     """(nu_-, nu_+) of the two-mode block with A = B = diag(a_q, a_p) and
-    C = diag(c_q, c_p): the roots of nu^4 - Delta nu^2 + det = 0, with
+    C = diag(c_q, c_p), every entry an integer times 2^-e: the roots of
+    nu^4 - Delta nu^2 + det = 0, with
 
-        Delta = 2 (a_q a_p + c_q c_p),  det = (a_q^2 - c_q^2)(a_p^2 - c_p^2).
+        Delta = 2 (a_q a_p + c_q c_p) / 2^(2e),
+        det = (a_q^2 - c_q^2)(a_p^2 - c_p^2) / 2^(4e).
 
-    Delta, det and 4 det / Delta^2 are exact, so nothing overflows or cancels;
-    nu_-^2 = det / nu_+^2 avoids the cancellation of the smaller root.  Raises
-    unless the block is positive definite, which makes det and Delta positive.
+    The numerators of Delta, det and Delta^2 - 4 det are exact integers, and
+    each quotient is rounded once by int / int true division, which is
+    correctly rounded, so nothing overflows or cancels; nu_-^2 = det / nu_+^2
+    avoids the cancellation of the smaller root.  No scaled integer goes
+    through float(): it may exceed 2^1024.  Raises unless the block is
+    positive definite, which makes det and Delta positive.
     """
     if not (a_q > abs(c_q) and a_p > abs(c_p)):
-        raise ValueError(f"two-mode covariance is not positive definite: a_q = {float(a_q):g}, "
-                         f"c_q = {float(c_q):g}, a_p = {float(a_p):g}, c_p = {float(c_p):g}")
+        scale = 1 << e
+        raise ValueError(f"two-mode covariance is not positive definite: a_q = {a_q / scale:g}, "
+                         f"c_q = {c_q / scale:g}, a_p = {a_p / scale:g}, c_p = {c_p / scale:g}")
     delta = 2 * (a_q * a_p + c_q * c_p)
     det = (a_q * a_q - c_q * c_q) * (a_p * a_p - c_p * c_p)
-    nu_plus2 = float(delta / 2) * (1.0 + math.sqrt(1 - 4 * det / (delta * delta)))
-    return math.sqrt(float(det / Fraction(nu_plus2))), math.sqrt(nu_plus2)
+    delta2 = delta * delta
+    nu_plus2 = delta / (1 << (2 * e + 1)) * (1.0 + math.sqrt((delta2 - 4 * det) / delta2))
+    num, den = nu_plus2.as_integer_ratio()
+    return math.sqrt(det * den / (num << (4 * e))), math.sqrt(nu_plus2)
 
 
 def _particle_block(q2: float, p2: float, X2: float,
-                    P2: float) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """(a_q, a_p, c_q, c_p) of one axis in the particle basis, exactly.
+                    P2: float) -> tuple[int, int, int, int, int]:
+    """(a_q, a_p, c_q, c_p, e) of one axis in the particle basis, exactly:
+    each of the first four is an integer times 2^-e.
 
     With x1,2 = X +- x/2 and p1,2 = P/2 +- p, in the factor-2 convention:
-    a = 2 Var(x1) and c = 2 Cov(x1, x2), and likewise for the momenta.
+    a = 2 Var(x1) and c = 2 Cov(x1, x2), and likewise for the momenta.  Every
+    float is m 2^-k; e is the largest k plus one bit, so that q2/2 and P2/2
+    are integers on the shared scale too.
     """
-    q2, p2, X2, P2 = (Fraction(v) for v in (q2, p2, X2, P2))
-    return 2 * X2 + q2 / 2, P2 / 2 + 2 * p2, 2 * X2 - q2 / 2, P2 / 2 - 2 * p2
+    ratios = [v.as_integer_ratio() for v in (q2, p2, X2, P2)]
+    e = max(den.bit_length() for _, den in ratios)  # den = 2^k has k + 1 bits
+    q, p, X, P = (num << (e + 1 - den.bit_length()) for num, den in ratios)
+    return 2 * X + (q >> 1), (P >> 1) + 2 * p, 2 * X - (q >> 1), (P >> 1) - 2 * p, e
 
 
 def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
-    """The six eigenvalues as three exact per-axis two-mode solves.
+    """The six eigenvalues as three exact per-axis two-mode solves, in exact
+    integer arithmetic on one power-of-two scale per axis.
 
     The partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of
     the closed form beyond the twelve variances, so it is its oracle.
@@ -86,8 +100,8 @@ def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     X2, P2 = com_moments(a0_over_b)
     nu = []
     for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2)):
-        a_q, a_p, c_q, c_p = _particle_block(q2, p2, X2, P2)
-        nu.extend(_two_mode_nu(a_q, a_p, c_q, -c_p))
+        a_q, a_p, c_q, c_p, e = _particle_block(q2, p2, X2, P2)
+        nu.extend(_two_mode_nu(a_q, a_p, c_q, -c_p, e))
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=tuple(sorted(nu)))
 
 

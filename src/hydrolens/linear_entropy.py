@@ -12,6 +12,7 @@ to 1 for every eigenstate as V -> infinity).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,15 +53,16 @@ def angular_sum(l: int, m: int) -> float:
 def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     """I_rad = int_0^inf k^2 F_nl(k)^4 dk in units a0^3.
 
-    Under x = (u-1)/(u+1), u = (n a0 k)^2, the integrand k^2 F^4 dk becomes
+    Under x = (u-1)/(u+1), u = (n k)^2, the integrand k^2 F^4 dk becomes
     sqrt(1-x^2) times a polynomial of degree 4n+1 in x, so the N = 2n+1 node
     Gauss-Chebyshev rule of the second kind is exact up to rounding.  Its
     weights are all positive, so nothing cancels.
 
-    Raises OverflowError naming (n, l) where a term is not finite: where F_nl
-    overflows on the nodes (radial_momentum's error, from n = 736), and where
-    F^4 or k^3 overflows although F_nl does not, at an a0 far from 1 (F_nl
-    scales as a0^1.5 and k as 1/a0, so a0 = 1e100 or 1e-110 at n = 1).
+    I_rad is exactly c a0^3, so the sum runs at a0 = 1 and is scaled once:
+    at an a0 far from 1, F^4 and k^3 on their own would over- or underflow.
+    Raises OverflowError naming (n, l) where F_nl overflows on the nodes
+    (radial_momentum's error, from n = 736), and where c a0^3 is not finite
+    or falls below the smallest normal float.
     """
     if not (0 <= l < n):
         raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
@@ -68,14 +70,13 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     nodes = 2 * n + 1
     theta = np.arange(1, nodes + 1) * (math.pi / (nodes + 1))
     x, s = np.cos(theta), np.sin(theta)
-    k = np.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
-    f = radial_momentum(QuantumNumbers(n, l), a0, k)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
-        poly = k ** 3 * f ** 4 / s ** 3
-        i_rad = math.pi / (nodes + 1) * float(np.dot(s * s, poly))
-    if not math.isfinite(i_rad):
-        raise OverflowError(f"radial purity overflows at n={n}, l={l}")
+    k = np.sqrt((1.0 + x) / (1.0 - x)) / n
+    f = radial_momentum(QuantumNumbers(n, l), 1.0, k)
+    # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
+    poly = k ** 3 * f ** 4 / s ** 3
+    i_rad = math.pi / (nodes + 1) * float(np.dot(s * s, poly)) * a0 * a0 * a0
+    if not (sys.float_info.min <= i_rad < math.inf):
+        raise OverflowError(f"radial purity is out of float range at n={n}, l={l}, a0={a0:g}")
     return i_rad
 
 

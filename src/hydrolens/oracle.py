@@ -11,6 +11,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,7 +22,6 @@ import numpy as np
 from .hydrogenic import QuantumNumbers, radial_position
 
 _GL_ORDER = 21
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 # Lower bound on the scale of the relative tolerance, for integrals that are 0.
 _ABS_FLOOR = 1e-300
 
@@ -52,10 +52,18 @@ class QuadratureSpec:
             raise ValueError("need at least one subdivision")
 
 
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the panel rule, computed on first use: importing
+    the package (every CLI call) then loads no numpy.polynomial."""
+    return np.polynomial.legendre.leggauss(_GL_ORDER)
+
+
 def _panel(f, a, b) -> float:
+    nodes, weights = _gl_rule()
     h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _GL_NODES
-    return h * float(np.sum(_GL_WEIGHTS * np.array([f(xi) for xi in x])))
+    x = 0.5 * (a + b) + h * nodes
+    return h * float(np.sum(weights * np.array([f(xi) for xi in x])))
 
 
 def integrate(spec: QuadratureSpec) -> tuple[float, float]:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -219,6 +220,21 @@ def test_verify_injected_failure(monkeypatch, capsys):
     assert "injected: FAIL" in capsys.readouterr().out
 
 
+def test_main_reuses_one_parser(capsys):
+    # One parser serves every call in a process, and each call still reaches
+    # its own handler with its own subcommand's parser.
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["ppt", "--ratio", "1.5"]) == 3
+    assert cli.main(["ppt", "--ratio", "1"]) == 0
+    assert "min_nu = 0.707107" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ppt", "--ratio", "1e-200"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: hydrolens ppt ")
+    assert cli.main(["map", "--points", "2"]) == 0
+    assert capsys.readouterr().out.startswith("a0,b,nu1,")
+
+
 @pytest.mark.parametrize("argv", [
     ["ppt", "--ratio", "nan"],
     ["ppt", "--a0", "nan", "--b", "1"],
@@ -264,13 +280,18 @@ def test_linent_excited_state():
 
 def test_linent_overflow_is_usage_error():
     for argv, state in ((("--n", "750", "--l", "375"), "n=750, l=375"),
-                        (("--n", "1", "--a0", "1e100"), "n=1, l=0"),
+                        (("--n", "1", "--a0", "1e110"), "n=1, l=0"),
                         (("--n", "1", "--a0", "1e-110"), "n=1, l=0")):
         res = run_cli("linent", *argv)
         assert res.returncode == 2, argv
         assert "error" in res.stderr and state in res.stderr
         assert "Warning" not in res.stderr
         assert res.stdout == ""
+    # At a0 = 1e100, I_rad = (33 / (4 pi)) a0^3 is a finite float.
+    res = run_cli("linent", "--n", "1", "--a0", "1e100")
+    assert res.returncode == 0 and res.stderr == ""
+    assert f"I_rad = {33 / (4 * math.pi) * 1e300:.6g}  (units a0^3)" in res.stdout
+
 
 def test_linent_finite_volume():
     res = run_cli("linent", "--n", "1", "--l", "0", "--m", "0", "--a0", "1",

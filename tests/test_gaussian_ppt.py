@@ -22,6 +22,9 @@ GROUND = QuantumNumbers(1, 0, 0)
 ALL_STATES_N4 = [QuantumNumbers(n, l, m)
                  for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)]
 RATIOS = (0.3, 0.8, 1.0, 1.5, 2.5)
+ALL_STATES_N12 = [QuantumNumbers(n, l, m)
+                  for n in range(1, 13) for l in range(n) for m in range(-l, l + 1)]
+RYDBERG = (QuantumNumbers(200, 0, 0), QuantumNumbers(200, 199, 199), QuantumNumbers(100, 50, 0))
 
 
 def test_ground_state_closed_form_values():
@@ -54,17 +57,55 @@ def test_pipeline_matches_closed_form():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([QuantumNumbers(n, l, m) for n in range(1, 13)
-                        for l in range(n) for m in range(-l, l + 1)]),
-       st.floats(-4.0, 4.0))
+@given(st.sampled_from(ALL_STATES_N12), st.floats(-4.0, 4.0))
 def test_pipeline_matches_closed_form_whole_domain(qn, log_ratio):
     ratio = 10.0 ** log_ratio
     assert _rel_err(ppt_numeric(qn, ratio).nu, ppt_closed_form(qn, ratio).nu) <= 1e-13
 
 
+def _fraction_particle_block(q2, p2, X2, P2):
+    """Reference: the particle-basis block in exact Fraction arithmetic."""
+    q2, p2, X2, P2 = (Fraction(v) for v in (q2, p2, X2, P2))
+    return 2 * X2 + q2 / 2, P2 / 2 + 2 * p2, 2 * X2 - q2 / 2, P2 / 2 - 2 * p2
+
+
+def _fraction_two_mode_nu(a_q, a_p, c_q, c_p):
+    """Reference: (nu_-, nu_+) from Fraction invariants, each rounded once."""
+    delta = 2 * (a_q * a_p + c_q * c_p)
+    det = (a_q * a_q - c_q * c_q) * (a_p * a_p - c_p * c_p)
+    nu_plus2 = float(delta / 2) * (1.0 + math.sqrt(1 - 4 * det / (delta * delta)))
+    return math.sqrt(float(det / Fraction(nu_plus2))), math.sqrt(nu_plus2)
+
+
+def _fraction_numeric(qn, ratio):
+    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    X2, P2 = com_moments(ratio)
+    nu = []
+    for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2)):
+        a_q, a_p, c_q, c_p = _fraction_particle_block(q2, p2, X2, P2)
+        nu.extend(_fraction_two_mode_nu(a_q, a_p, c_q, -c_p))
+    return tuple(sorted(nu))
+
+
+def test_numeric_equals_fraction_reference():
+    # Integer arithmetic on one power-of-two scale gives the same bits as the
+    # Fraction reference: every state with n <= 12 on the ppt_point ratios,
+    # and Rydberg states at the ends of the ratio range.
+    queries = [(qn, 10.0 ** (-4 + j / 2)) for qn in ALL_STATES_N12 for j in range(17)]
+    queries += [(qn, ratio) for qn in RYDBERG for ratio in (1e-100, 1e100)]
+    for qn, ratio in queries:
+        assert ppt_numeric(qn, ratio).nu == _fraction_numeric(qn, ratio), (qn, ratio)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_STATES_N12 + list(RYDBERG)), st.floats(-100.0, 100.0))
+def test_numeric_equals_fraction_reference_whole_ratio_range(qn, log_ratio):
+    ratio = 10.0 ** log_ratio
+    assert ppt_numeric(qn, ratio).nu == _fraction_numeric(qn, ratio)
+
+
 def test_pipeline_at_rydberg_states_and_extreme_ratios():
-    for qn in (QuantumNumbers(200, 0, 0), QuantumNumbers(200, 199, 199),
-               QuantumNumbers(100, 50, 0)):
+    for qn in RYDBERG:
         for ratio in (1e-100, 1.0, 1e100):
             assert _rel_err(ppt_numeric(qn, ratio).nu, ppt_closed_form(qn, ratio).nu) <= 1e-13, \
                 (qn, ratio)
@@ -96,7 +137,12 @@ def test_two_mode_nu_rejects_non_physical_blocks():
     # Negative det, negative Delta, and -I, whose det and Delta are positive.
     for block in ((1, 1, 2, 0), (-1, 1, 0, 0), (-1, -1, 0, 0)):
         with pytest.raises(ValueError):
-            _two_mode_nu(*block)
+            _two_mode_nu(*block, 0)
+    # Scaled integers beyond 2^1024, which float() could not convert: the
+    # message still gives each entry's value.
+    e = 1100
+    with pytest.raises(ValueError, match="a_q = 1, c_q = 2, a_p = 1, c_p = 0"):
+        _two_mode_nu(1 << e, 1 << e, 2 << e, 0, e)
 
 
 def _bisected_band(qn, lo=1e-3, hi=1e3, tol=1e-12):

@@ -34,6 +34,17 @@ def test_product_scales_as_a0_cubed():
     r1 = linear_entropy(QuantumNumbers(2, 1, 0), a0=1.0)
     r2 = linear_entropy(QuantumNumbers(2, 1, 0), a0=2.0)
     assert math.isclose(r2.product, 8.0 * r1.product, rel_tol=1e-12)
+    # I_rad = c a0^3 exactly.  At a0 far from 1, k^3 and F^4 on their own
+    # over- or underflow, but c a0^3 is a normal float.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, l in ((1, 0), (7, 3), (12, 11)):
+            c = Fraction(radial_sum(n, l))
+            for a0 in (1e-100, 1e-60, 1e60, 1e100):
+                want = float(c * Fraction(a0) ** 3)
+                assert math.isclose(radial_sum(n, l, a0), want, rel_tol=1e-14), (n, l, a0)
+                res = linear_entropy(QuantumNumbers(n, l, 0), a0)
+                assert math.isclose(res.i_rad, want, rel_tol=1e-14), (n, l, a0)
 
 
 def test_angular_sum_matches_quadrature():
@@ -97,13 +108,16 @@ def test_radial_sum_overflow_raises():
                  lambda: linear_entropy(QuantumNumbers(750, 375, 0))):
         with pytest.raises(OverflowError, match="n=750, l=375"):
             call()
-    # F_nl is finite at a0 far from 1, but F^4 (a0 = 1e100) or k^3
-    # (a0 = 1e-110) overflows in the sum: an error too, never inf or nan.
+    # c a0^3 underflows (a0 = 1e-110) or overflows (a0 = 1e110) a float: an
+    # error too, never 0, inf or nan.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a0 in (1e100, 1e-110):
-            with pytest.raises(OverflowError, match="n=1, l=0"):
-                linear_entropy(QuantumNumbers(1, 0, 0), a0)
+        for a0 in (1e110, 1e-110):
+            for call in (lambda: radial_sum(1, 0, a0),
+                         lambda: linear_entropy(QuantumNumbers(1, 0, 0), a0)):
+                with pytest.raises(OverflowError, match="n=1, l=0"):
+                    call()
+
 
 def test_s_lin_limits():
     res = linear_entropy(QuantumNumbers(1, 0, 0))
