@@ -21,11 +21,12 @@ parameters enter only through SystemParams at the API boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _float_or_array, gegenbauer
+from .specfun import gegenbauer
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -42,6 +43,16 @@ class QuantumNumbers:
     m: int = 0
 
     def __post_init__(self):
+        # The type test first: the isinstance test of an ABC costs microseconds,
+        # several times the rest of the construction.
+        if not type(self.n) is type(self.l) is type(self.m) is int:
+            for name in ("n", "l", "m"):
+                value = getattr(self, name)
+                # bool is an Integral too, but True for n = 1 is a mistake, not a state.
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"quantum numbers must be integers, got {name}={value!r}")
+                # Python ints, so exact arithmetic on them cannot wrap as numpy's can.
+                object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
         if not (0 <= self.l <= self.n - 1):
@@ -78,43 +89,33 @@ class SystemParams:
         return cls(a0=hbar * hbar / mu / alpha, alpha=alpha, mu=mu, hbar=hbar)
 
 
-def _radial_argument(a0: float, x, name: str):
-    """Check a0 and a radial argument x; return x as a Python float for a 0-d
-    x and as a float array otherwise."""
+def _radial_argument(a0: float, x, name: str) -> np.ndarray:
+    """Check a0 and a radial argument x; return x as a float array (0-d for a
+    scalar x)."""
     _check_positive("a0", a0)
-    x = _float_or_array(x)
-    if isinstance(x, float):
-        ok = 0 <= x < math.inf
-    else:
-        ok = bool(np.all((0 <= x) & (x < math.inf)))
-    if not ok:
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 <= x) & (x < math.inf)):
         raise ValueError(f"{name} must be finite and >= 0")
     return x
 
 
-def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x):
+def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x: np.ndarray):
     """evaluate(qn, a0, x), or OverflowError naming the state if any value is
-    not finite.
+    not finite.  A 0-d x gives a Python float.
 
-    numpy's overflow warnings are silenced for an array x, since the check
-    reports them.  Python float arithmetic overflows to inf or nan without a
-    warning, and entering np.errstate would cost about as much as a whole
-    scalar call, so a float x gets no errstate.  math.exp raises its own
-    OverflowError instead, which is re-raised naming the state.
+    numpy's overflow warnings are silenced, since the check reports them.
+    math.exp, in the prefactor of F_nl, raises its own OverflowError instead,
+    which is re-raised naming the state.
     """
     try:
-        if isinstance(x, float):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             value = evaluate(qn, a0, x)
-            ok = math.isfinite(value)
-        else:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                value = evaluate(qn, a0, x)
-            ok = bool(np.isfinite(value).all())
+        ok = bool(np.isfinite(value).all())
     except OverflowError:
         ok = False
     if not ok:
         raise OverflowError(f"{name} overflows a float at n={qn.n}, l={qn.l}")
-    return value
+    return value if x.ndim else float(value)
 
 
 def radial_position(qn: QuantumNumbers, a0: float, r):
@@ -142,14 +143,9 @@ def _position(qn: QuantumNumbers, a0: float, r):
     t = 0.5 * (3.0 * (math.log(2.0 / n) - math.log(a0)) + math.lgamma(d + 1)
                - math.lgamma(n + l + 1) - math.log(2.0 * n)) - 0.5 * rho
     # l log rho is -inf at rho = 0, where R_nl = 0 for l > 0; c is then 0.
-    if isinstance(rho, float):
-        if l:
-            t += l * math.log(rho) if rho else -math.inf
-        c = math.exp(t / (d + 1))
-    else:
-        if l:
-            t = t + l * np.log(rho)
-        c = np.exp(t / (d + 1))
+    if l:
+        t = t + l * np.log(rho)
+    c = np.exp(t / (d + 1))
     m_prev, m = 0.0, c
     for k in range(d):
         m, m_prev = c * ((2 * k + 1 + p - rho) * m - c * (k + p) * m_prev) / (k + 1), m

@@ -7,6 +7,11 @@ for linear_entropy.angular_sum.  The semi-infinite momentum integrals use the
 compactifying variable x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1), which maps
 [0, inf) onto [-1, 1] and removes the algebraic tail of the momentum profiles
 exactly.
+
+integrate calls its integrand once per bisection level, on the nodes of
+every panel still open, so integrands map a node array to an array; the
+radial functions of hydrogenic take arrays for this.  Only integrate_theta
+calls its integrand once per node, with a Python float.
 """
 
 from __future__ import annotations
@@ -39,13 +44,18 @@ class QuadratureError(ArithmeticError):
 
 @dataclass
 class QuadratureSpec:
-    integrand: Callable[[float], float]
+    """int_a^b integrand(x) dx.  The integrand maps a float array of nodes to
+    an array of the same shape."""
+
+    integrand: Callable[[np.ndarray], np.ndarray]
     a: float = -1.0
     b: float = 1.0
     rel_tol: float = 1e-12
     max_subdivisions: int = 4000
 
     def __post_init__(self):
+        if not -math.inf < self.a < self.b < math.inf:
+            raise ValueError(f"require finite a < b, got a={self.a}, b={self.b}")
         if self.rel_tol <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_subdivisions < 1:
@@ -59,50 +69,83 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panel(f, a, b) -> float:
+def _panels(f, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """The panel rule on each [a[i], b[i]], from one call of f on all their
+    nodes; None if some panel is too narrow for its nodes to lie strictly
+    inside it, in which case f is not called."""
     nodes, weights = _gl_rule()
     h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * nodes
-    return h * float(np.sum(weights * np.array([f(xi) for xi in x])))
+    x = (0.5 * (a + b))[:, None] + h[:, None] * nodes
+    # The nodes ascend and rounding is monotone, so the outer two bound the rest.
+    if not ((x[:, 0] > a).all() and (x[:, -1] < b).all()):
+        return None
+    return h * np.sum(weights * np.reshape(f(x.ravel()), x.shape), axis=1)
+
+
+def _left_to_right(accepted: list) -> tuple[float, float]:
+    """Sums of the values and error estimates of the accepted (left end,
+    value, error) panels, added in order of their left ends.  Sorted in
+    Python: the first np.argsort in a process raises its peak RSS by about
+    0.3 MB, the size of numpy's sort kernels."""
+    total = err = 0.0
+    for _, value, delta in sorted(accepted):
+        total += value
+        err += delta
+    return total, err
 
 
 def integrate(spec: QuadratureSpec) -> tuple[float, float]:
     """Adaptive bisected Gauss-Legendre on [a, b]; returns (value, error
-    estimate).  Deterministic: the interval queue is processed worst-first
-    and the split order is fixed."""
-    f, a, b = spec.integrand, spec.a, spec.b
-    whole = _panel(f, a, b)
-    # stack of (a, b, coarse_value)
-    stack = [(a, b, whole)]
-    total = 0.0
-    err = 0.0
-    splits = 0
-    scale = max(abs(whole), _ABS_FLOOR)
-    while stack:
-        a, b, coarse = stack.pop()
+    estimate).
+
+    Level by level: the halves of every panel still open are evaluated in
+    one call of the integrand, and each panel is accepted when its halves
+    agree with it, |left + right - coarse| <= rel_tol * scale, or else split.
+    Which panels are accepted does not depend on the batching, and they are
+    added from left to right, the order of a depth-first bisection.  Raises
+    QuadratureError, carrying the best estimate so far, after more than
+    max_subdivisions splits or at a panel too narrow to split further.
+    """
+    f = spec.integrand
+    a, b = np.array([spec.a]), np.array([spec.b])
+    coarse = _panels(f, a, b)
+    if coarse is None:
+        raise QuadratureError("interval too narrow for the panel rule", best=0.0, error=math.inf)
+    scale = max(abs(float(coarse[0])), _ABS_FLOOR)
+    accepted = []
+    splits, open_err = 0, 0.0
+    while a.size:
         m = 0.5 * (a + b)
-        left = _panel(f, a, m)
-        right = _panel(f, m, b)
-        delta = abs(left + right - coarse)
-        if delta <= spec.rel_tol * scale or splits >= spec.max_subdivisions:
-            total += left + right
-            err += delta
-            if splits >= spec.max_subdivisions and delta > spec.rel_tol * scale:
-                raise QuadratureError(
-                    f"quadrature failed to converge after {splits} subdivisions",
-                    best=total + sum(c for _, _, c in stack), error=err)
-        else:
-            splits += 1
-            stack.append((m, b, right))
-            stack.append((a, m, left))
+        halves = _panels(f, np.concatenate((a, m)), np.concatenate((m, b)))
+        if halves is None:
+            total, err = _left_to_right(accepted)
+            raise QuadratureError(f"panel too narrow to split after {splits} subdivisions",
+                                  best=total + float(coarse.sum()), error=err + open_err)
+        left, right = halves[:a.size], halves[a.size:]
+        fine = left + right
+        delta = abs(fine - coarse)
+        done = delta <= spec.rel_tol * scale
+        accepted += zip(a[done].tolist(), fine[done].tolist(), delta[done].tolist())
+        split = ~done
+        splits += int(split.sum())
+        if splits > spec.max_subdivisions:
+            total, err = _left_to_right(accepted)
+            raise QuadratureError(
+                f"quadrature failed to converge after {spec.max_subdivisions} subdivisions",
+                best=total + float(fine[split].sum()), error=err + float(delta[split].sum()))
+        open_err = float(delta[split].sum())
+        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
+        coarse = np.concatenate((left[split], right[split]))
+    total, err = _left_to_right(accepted)
     return total, max(err, abs(total) * 1e-15)
 
 
-def integrate_semi_infinite(f: Callable[[float], float], rel_tol: float = 1e-12,
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-12,
                             **kwargs) -> tuple[float, float]:
-    """int_0^inf f via the tangent map t in (0, 1), x = t/(1-t)."""
+    """int_0^inf f via the tangent map t in (0, 1), x = t/(1-t).  f maps an
+    array to an array, as a QuadratureSpec integrand does."""
 
-    def g(t: float) -> float:
+    def g(t: np.ndarray) -> np.ndarray:
         x = t / (1.0 - t)
         return f(x) / (1.0 - t) ** 2
 
@@ -110,32 +153,39 @@ def integrate_semi_infinite(f: Callable[[float], float], rel_tol: float = 1e-12,
 
 
 def momentum_compactification(n: int, a0: float):
-    """Forward/backward maps for x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1)."""
+    """Forward/backward maps for x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1),
+    on a float or an array."""
 
-    def k_of_x(x: float) -> float:
-        return math.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
+    def k_of_x(x):
+        return np.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
 
-    def jacobian(x: float) -> float:
+    def jacobian(x):
         # dk = k dx / (1 - x^2)
         return k_of_x(x) / (1.0 - x * x)
 
     return k_of_x, jacobian
 
 
-def integrate_momentum(f: Callable[[float], float], n: int, a0: float,
+def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int, a0: float,
                        rel_tol: float = 1e-12, **kwargs) -> tuple[float, float]:
-    """int_0^inf f(k) dk through the compactifying substitution to [-1, 1]."""
+    """int_0^inf f(k) dk through the compactifying substitution to [-1, 1].
+    f maps an array to an array, as a QuadratureSpec integrand does."""
     k_of_x, jac = momentum_compactification(n, a0)
 
-    def g(x: float) -> float:
+    def g(x: np.ndarray) -> np.ndarray:
         return f(k_of_x(x)) * jac(x)
 
     return integrate(QuadratureSpec(g, -1.0, 1.0, rel_tol=rel_tol, **kwargs))
 
 
 def integrate_theta(g: Callable[[float], float], rel_tol: float = 1e-12) -> float:
-    """int_0^pi g(theta) dtheta."""
-    val, _ = integrate(QuadratureSpec(g, 0.0, math.pi, rel_tol=rel_tol))
+    """int_0^pi g(theta) dtheta.  g is called once per node with a Python
+    float, so it may be written with the math module."""
+
+    def per_node(t: np.ndarray) -> np.ndarray:
+        return np.array([g(ti) for ti in t.tolist()])
+
+    val, _ = integrate(QuadratureSpec(per_node, 0.0, math.pi, rel_tol=rel_tol))
     return val
 
 

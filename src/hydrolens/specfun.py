@@ -13,9 +13,10 @@ import numpy as np
 def _float_or_array(x):
     """x as a Python float if it is 0-d, else as a float array.
 
-    Python floats for a scalar: the quadrature oracles call the recurrences
-    once per node, and numpy scalars would make each call about twice as
-    slow.  The isinstance test skips np.ndim, which is slow on a float.
+    Python floats for a scalar: oracle.integrate_theta calls its integrand,
+    and so spherical_harmonic_sq, once per node with a float, and numpy
+    scalars would make each call about twice as slow.  The isinstance test
+    skips np.ndim, which is slow on a float.
     """
     if isinstance(x, (int, float)) or np.ndim(x) == 0:
         return float(x)

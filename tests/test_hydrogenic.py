@@ -33,6 +33,19 @@ def test_quantum_numbers_validation():
     assert (qn.n, qn.l, qn.m) == (3, 2, -2)
 
 
+def test_quantum_numbers_must_be_integers():
+    for args in ((2.5, 1), (2, 0.5), (3, 2, 1.5), (2.0, 1), (3, 2, 1.0), ("2", 1),
+                 (True, 0), (2, True), (2, 1, False), (np.float64(2.0), 1), (np.bool_(True), 0)):
+        with pytest.raises(ValueError, match="must be integers"):
+            QuantumNumbers(*args)
+    # numpy integers are accepted and stored as Python ints, whose exact
+    # arithmetic cannot wrap.
+    qn = QuantumNumbers(np.int64(12), np.int32(11), np.int8(-11))
+    assert qn == QuantumNumbers(12, 11, -11)
+    assert all(type(v) is int for v in (qn.n, qn.l, qn.m))
+    assert hash(qn) == hash(QuantumNumbers(12, 11, -11))
+
+
 def test_system_params():
     p = SystemParams.from_coupling(alpha=2.0, mu=0.5, hbar=1.0)
     assert math.isclose(p.a0, 1.0)

@@ -1,9 +1,12 @@
 import math
+import random
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from hydrolens.hydrogenic import QuantumNumbers
+from hydrolens.hydrogenic import QuantumNumbers, radial_momentum, radial_position
 from hydrolens.linear_entropy import angular_sum
 from hydrolens.oracle import (
     QuadratureError,
@@ -20,11 +23,82 @@ from hydrolens.oracle import (
 from hydrolens.specfun import gegenbauer
 
 
+# (integrand, a, b, exact value)
+HONEST_CASES = [
+    (lambda x: np.exp(-x * x), -8.0, 8.0, math.sqrt(math.pi)),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
+    (lambda x: np.sqrt(abs(x)), -1.0, 1.0, 4.0 / 3.0),
+    (lambda x: np.sin(40.0 * x), 0.0, 1.0, (1.0 - math.cos(40.0)) / 40.0),
+]
+
+
+def reference_integrate(spec):
+    """The depth-first bisection that integrate's levels replace, calling the
+    integrand once per node with a float.  Returns (value, error, splits,
+    depth), depth being the number of bisection levels it evaluated."""
+    nodes, weights = np.polynomial.legendre.leggauss(21)
+
+    def panel(a, b):
+        h = 0.5 * (b - a)
+        x = 0.5 * (a + b) + h * nodes
+        return h * float(np.sum(weights * np.array([spec.integrand(xi) for xi in x])))
+
+    whole = panel(spec.a, spec.b)
+    stack = [(spec.a, spec.b, whole, 1)]
+    total = err = 0.0
+    splits = depth = 0
+    scale = max(abs(whole), 1e-300)
+    while stack:
+        a, b, coarse, level = stack.pop()
+        depth = max(depth, level)
+        m = 0.5 * (a + b)
+        left, right = panel(a, m), panel(m, b)
+        delta = abs(left + right - coarse)
+        if delta <= spec.rel_tol * scale:
+            total += left + right
+            err += delta
+        else:
+            if splits >= spec.max_subdivisions:
+                raise QuadratureError("reference failed to converge", best=total, error=err)
+            splits += 1
+            stack.append((m, b, right, level + 1))
+            stack.append((a, m, left, level + 1))
+    return total, max(err, abs(total) * 1e-15), splits, depth
+
+
+def mapped_specs():
+    """The momentum and radial integrals of verify, as integrate sees them,
+    for a spread of states with n <= 12."""
+    for n, l in ((1, 0), (2, 1), (5, 0), (7, 3), (12, 0), (12, 6), (12, 11)):
+        qn, a0 = QuantumNumbers(n, l), 1.0
+        k_of_x, jac = momentum_compactification(n, a0)
+        for power in (2, 4):
+            yield QuadratureSpec(
+                lambda x: k_of_x(x) ** 2 * radial_momentum(qn, a0, k_of_x(x)) ** power
+                * jac(x))
+        yield QuadratureSpec(
+            lambda t: (t / (1.0 - t)) ** 4 * radial_position(qn, a0, t / (1.0 - t)) ** 2
+            / (1.0 - t) ** 2, 0.0, 1.0)
+
+
+def from_roots(roots):
+    """prod 2 (x - r) over the roots, in products and differences only."""
+    def p(x):
+        y = 1.0
+        for r in roots:
+            y = y * (2.0 * (x - r))
+        return y
+    return p
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(lambda x: x, rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadratureSpec(lambda x: x, max_subdivisions=0)
+    for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            QuadratureSpec(lambda x: x, a, b)
 
 
 def test_finite_polynomial_exact():
@@ -34,7 +108,7 @@ def test_finite_polynomial_exact():
 
 
 def test_semi_infinite_exponential():
-    val, err = integrate_semi_infinite(lambda x: math.exp(-x))
+    val, err = integrate_semi_infinite(lambda x: np.exp(-x))
     assert math.isclose(val, 1.0, rel_tol=1e-11)
     assert abs(val - 1.0) <= 10.0 * max(err, 1e-15)
 
@@ -43,23 +117,87 @@ def test_error_estimates_are_honest():
     # On integrals with known values the true error stays within 10x the
     # reported estimate (plus double-precision floor).
     cases = [
-        (QuadratureSpec(lambda x: math.exp(-x * x), -8.0, 8.0), math.sqrt(math.pi)),
-        (QuadratureSpec(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0), math.pi / 4.0),
-        (QuadratureSpec(lambda x: math.sqrt(abs(x)), -1.0, 1.0), 4.0 / 3.0),
-        (QuadratureSpec(lambda x: math.sin(40.0 * x), 0.0, 1.0),
-         (1.0 - math.cos(40.0)) / 40.0),
-    ]
+        (QuadratureSpec(f, a, b), truth) for f, a, b, truth in HONEST_CASES]
     for spec, truth in cases:
         val, err = integrate(spec)
         assert abs(val - truth) <= 10.0 * err + 1e-13 * abs(truth)
 
 
 def test_non_convergence_raises_with_best_estimate():
-    spec = QuadratureSpec(lambda x: math.sqrt(abs(x)), -1.0, 1.0,
+    spec = QuadratureSpec(lambda x: np.sqrt(abs(x)), -1.0, 1.0,
                           rel_tol=1e-15, max_subdivisions=3)
     with pytest.raises(QuadratureError) as exc_info:
         integrate(spec)
     assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-3)
+
+
+def test_matches_depth_first_reference():
+    # Same panels accepted, same left-to-right sum: only the integrand's own
+    # rounding on arrays against floats may differ.
+    specs = [QuadratureSpec(f, a, b) for f, a, b, _ in HONEST_CASES] + list(mapped_specs())
+    for spec in specs:
+        val, err = integrate(spec)
+        ref_val, ref_err, _, _ = reference_integrate(spec)
+        assert math.isclose(val, ref_val, rel_tol=1e-14), (val, ref_val)
+        assert math.isclose(err, ref_err, rel_tol=1e-6, abs_tol=1e-15 * abs(val))
+
+
+def test_polynomial_bit_for_bit_with_reference():
+    # Products and differences are the same IEEE operations on a float and an
+    # array, so every panel, the splitting and the sum are the same bits.
+    rng = random.Random(11)
+    for degree in (60, 120, 240):
+        spec = QuadratureSpec(from_roots([rng.uniform(-1.0, 1.0) for _ in range(degree)]))
+        ref_val, ref_err, splits, depth = reference_integrate(spec)
+        assert splits >= 3 and depth >= 3
+        assert integrate(spec) == (ref_val, ref_err)
+
+
+def test_one_integrand_call_per_level():
+    specs = [QuadratureSpec(f, a, b) for f, a, b, _ in HONEST_CASES] + list(mapped_specs())
+    for spec in specs:
+        calls = []
+
+        def counted(x, f=spec.integrand):
+            calls.append(x.size)
+            return f(x)
+
+        integrate(QuadratureSpec(counted, spec.a, spec.b))
+        _, _, splits, depth = reference_integrate(spec)
+        assert len(calls) <= depth + 1
+        # The same nodes as the reference: the whole interval, its halves, and
+        # the halves of both halves of each split.
+        assert sum(calls) == 21 * (3 + 4 * splits)
+
+
+def test_subdivision_budget_matches_reference():
+    # The budget is spent by the same panels as in the depth-first order: it
+    # converges with exactly the reference's number of splits, and one fewer
+    # raises with a best estimate as good as the tolerance that was missed.
+    spec = QuadratureSpec(lambda x: np.sqrt(abs(x)), -1.0, 1.0)
+    ref_val, _, splits, _ = reference_integrate(spec)
+    enough = QuadratureSpec(spec.integrand, -1.0, 1.0, max_subdivisions=splits)
+    assert integrate(enough)[0] == ref_val
+    with pytest.raises(QuadratureError) as exc_info:
+        integrate(QuadratureSpec(spec.integrand, -1.0, 1.0, max_subdivisions=splits - 1))
+    assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-11)
+    assert exc_info.value.error > 0
+
+
+def test_too_narrow_panel_raises_with_best_estimate():
+    # <k^4> of (1, 0) is 5, but k^6 F^2 dk behaves as (1 - x)^(-1/2) at the
+    # mapped endpoint x = 1, and so does (1 + r)^(-3/2) dr under the tangent
+    # map at t = 1.  Bisection reaches panels whose nodes round onto the
+    # endpoint; the integrand must not be called there.
+    qn = QuantumNumbers(1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(QuadratureError, match="too narrow") as exc_info:
+            integrate_momentum(lambda k: k ** 6 * radial_momentum(qn, 1.0, k) ** 2, 1, 1.0)
+        assert math.isclose(exc_info.value.best, 5.0, rel_tol=1e-6)
+        with pytest.raises(QuadratureError, match="too narrow") as exc_info:
+            integrate_semi_infinite(lambda r: (1.0 + r) ** -1.5)
+        assert math.isclose(exc_info.value.best, 2.0, rel_tol=1e-6)
 
 
 def test_compactification_maps():
@@ -110,7 +248,14 @@ def test_momentum_domain_gegenbauer_weighted():
 
 
 def test_theta_quadrature():
-    assert math.isclose(integrate_theta(math.sin), 2.0, rel_tol=1e-12)
+    seen = set()
+
+    def g(t):
+        seen.add(type(t))
+        return math.sin(t)
+
+    assert math.isclose(integrate_theta(g), 2.0, rel_tol=1e-12)
+    assert seen == {float}
 
 
 def test_bessel_transform_ground_state():
