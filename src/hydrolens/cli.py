@@ -184,7 +184,7 @@ def _verify_checks(n_max: int):
         k4[qn.n, qn.l], _ = integrate_momentum(
             lambda k: k ** 4 * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
         ok &= abs(qn.n ** 2 * a0 ** 2 * k4[qn.n, qn.l] - 1.0) <= 1e-8
-    yield "momentum fourth moment", ok
+    yield "momentum second moment", ok
 
     # Each variance against quadrature: <r^2> once per (n, l), <k^2> from the
     # check above, and the angular factors f_perp and f_z once per (l, m).

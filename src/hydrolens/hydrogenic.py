@@ -7,12 +7,12 @@ transform of psi_nlm up to a k-independent phase of modulus one, so only
 magnitudes should be compared against a numerical transform.
 
 radial_position and radial_momentum take r or k as a float or a numpy array
-and run one recurrence in degree on it, with prefactors from lgamma.  No
-(n+l)! is formed, so Rydberg states need no separate path.  Both reject an
-r or k that is negative or not finite, and an a0 that is not finite and
-positive.  Where a value overflows a float, at Rydberg n beyond the limits
-their docstrings give, both raise OverflowError naming (n, l); neither
-returns inf or nan.
+and run one recurrence in degree on it, with the normalisation, from lgamma,
+folded into each step.  No (n+l)! is formed, so Rydberg states need no
+separate path.  Both reject an r or k that is negative or not finite, and an
+a0 that is not finite and positive.  Where a value overflows a float, at
+Rydberg n beyond the limits their docstrings give, both raise OverflowError
+naming (n, l); neither returns inf or nan.
 
 Internally everything is a pure function of (quantum numbers, a0); dimensionful
 parameters enter only through SystemParams at the API boundary.
@@ -25,8 +25,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-from .specfun import gegenbauer
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -104,16 +102,10 @@ def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x: np.ndarray):
     not finite.  A 0-d x gives a Python float.
 
     numpy's overflow warnings are silenced, since the check reports them.
-    math.exp, in the prefactor of F_nl, raises its own OverflowError instead,
-    which is re-raised naming the state.
     """
-    try:
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            value = evaluate(qn, a0, x)
-        ok = bool(np.isfinite(value).all())
-    except OverflowError:
-        ok = False
-    if not ok:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        value = evaluate(qn, a0, x)
+    if not np.isfinite(value).all():
         raise OverflowError(f"{name} overflows a float at n={qn.n}, l={qn.l}")
     return value if x.ndim else float(value)
 
@@ -155,27 +147,37 @@ def _position(qn: QuantumNumbers, a0: float, r):
 def radial_momentum(qn: QuantumNumbers, a0: float, k):
     """Momentum-space radial profile F_nl(k), units length^{3/2}.
 
-    With s = n a0 k and x = (s^2 - 1)/(s^2 + 1),
+    With s = n a0 k, u = s^2 + 1, x = (s^2 - 1)/u and d = n - l - 1,
 
-        F_nl = N (s/(s^2+1))^l (s^2+1)^{-2} C^{(l+1)}_{n-l-1}(x),
-        N    = sqrt(2/pi (n-l-1)!/(n+l)!) n^2 2^{2l+2} l! a0^{3/2},
+        F_nl = e^T C^{(l+1)}_d(x),   T = log N + l log(s/u) - 2 log u,
+        N    = sqrt(2/pi d!/(n+l)!) n^2 2^{2l+2} l! a0^{3/2},
 
-    with N built from lgamma and the base s/(s^2+1) at most 1/2.  Values are
-    finite for every l and k up to n = 735.  From n = 736 the Gegenbauer
-    factor, which reaches C(n+l, n-l-1) at x = 1, overflows for some l and
-    large k, and OverflowError names the state.  k may be a float or a numpy
-    array; a float k gives a float.
+    (Bethe & Salpeter 1957).  The Gegenbauer recurrence in degree runs on
+    M_j = c^{j+1} C_j with c = e^{T/(d+1)}, so M_d is F_nl itself and neither
+    N nor C_d, which reaches C(n+l, d) at x = 1, is formed on its own.
+    Values are finite for every l and k up to n = 3127.  From n = 3128 the
+    intermediates M_j overflow for some l (from l = 837 at n = 3128, near
+    n a0 k = 0.22), and OverflowError names the state.  k may be a float or
+    a numpy array; a float k gives a float.
     """
     return _checked(_momentum, "F_nl", qn, a0, _radial_argument(a0, k, "wavevector magnitude"))
 
 
 def _momentum(qn: QuantumNumbers, a0: float, k):
     n, l = qn.n, qn.l
-    # N alone overflows from about n = 1030 at l = n - 1; _checked reports it.
-    pref = math.exp(
-        0.5 * (math.log(2.0 / math.pi) + math.lgamma(n - l) - math.lgamma(n + l + 1))
-        + 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
-        + 1.5 * math.log(a0))
+    d, alpha = n - l - 1, l + 1
     s = n * a0 * k
-    u1 = s * s + 1.0
-    return pref * (s / u1) ** l / (u1 * u1) * gegenbauer(l + 1, n - l - 1, 1.0 - 2.0 / u1)
+    u = s * s + 1.0
+    t = (0.5 * (math.log(2.0 / math.pi) + math.lgamma(d + 1) - math.lgamma(n + l + 1))
+         + 2.0 * math.log(n) + (2 * l + 2) * math.log(2.0) + math.lgamma(l + 1)
+         + 1.5 * math.log(a0)) - 2.0 * np.log(u)
+    # l log(s/u) is -inf at s = 0, where F_nl = 0 for l > 0; c is then 0.
+    if l:
+        t = t + l * np.log(s / u)
+    c = np.exp(t / (d + 1))
+    two_x = 2.0 - 4.0 / u
+    m_prev, m = 0.0, c
+    for j in range(d):
+        m, m_prev = c * ((j + alpha) / (j + 1) * two_x * m
+                         - (j + 2 * alpha - 1) / (j + 1) * c * m_prev), m
+    return m

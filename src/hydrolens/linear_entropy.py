@@ -11,6 +11,7 @@ to 1 for every eigenstate as V -> infinity).
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -45,9 +46,19 @@ def angular_sum(l: int, m: int) -> float:
     positive, so nothing cancels.  oracle.angular_purity_exact gives the same
     integral as an exact Wigner-3j sum.
     """
-    x, w = np.polynomial.legendre.leggauss(2 * l + 1)
-    y2 = spherical_harmonic_sq(l, m, np.arccos(x))
+    theta, w = _legendre_rule(l)
+    y2 = spherical_harmonic_sq(l, m, theta)
     return 2.0 * math.pi * float(np.dot(w, y2 * y2))
+
+
+@functools.lru_cache(maxsize=128)
+def _legendre_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2l+1 node Gauss-Legendre rule as (arccos of the nodes, weights),
+    read-only, since the cache shares them between calls."""
+    x, w = np.polynomial.legendre.leggauss(2 * l + 1)
+    theta = np.arccos(x)
+    theta.flags.writeable = w.flags.writeable = False
+    return theta, w
 
 
 def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
@@ -61,7 +72,7 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     I_rad is exactly c a0^3, so the sum runs at a0 = 1 and is scaled once:
     at an a0 far from 1, F^4 and k^3 on their own would over- or underflow.
     Raises OverflowError naming (n, l) where F_nl overflows on the nodes
-    (radial_momentum's error, from n = 736), and where c a0^3 is not finite
+    (radial_momentum's error, from n = 3128), and where c a0^3 is not finite
     or falls below the smallest normal float.
     """
     if not (0 <= l < n):
@@ -82,6 +93,8 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
 
 def linear_entropy(qn: QuantumNumbers, a0: float = 1.0) -> LinearEntropyResult:
     """Angular and radial purity integrals and their product for (n, l, m)."""
-    i_ang = angular_sum(qn.l, qn.m)
+    # The radial sum first: it raises for Rydberg states past F_nl's range,
+    # before the angular rule, which takes seconds to build at l ~ 1000.
     i_rad = radial_sum(qn.n, qn.l, a0)
+    i_ang = angular_sum(qn.l, qn.m)
     return LinearEntropyResult(qn=qn, i_ang=i_ang, i_rad=i_rad, product=i_ang * i_rad)

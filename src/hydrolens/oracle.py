@@ -192,10 +192,10 @@ def integrate_theta(g: Callable[[float], float], rel_tol: float = 1e-12) -> floa
 def bessel_transform_radial(qn: QuantumNumbers, a0: float, k: float) -> float:
     """sqrt(2/pi) int_0^inf r^2 j_l(k r) R_nl(r) dr.
 
-    The integrand decays like e^{-r/(n a0)}, so the transform is integrated
-    chunk by chunk between scale-length intervals until the tail is
-    negligible; chunk width follows the oscillation period pi/k when k
-    dominates the decay scale.
+    R_nl extends to about 2 n^2 a0 and decays like e^{-r/(n a0)} past it, so
+    the transform is integrated chunk by chunk until, past 2 n^2 a0, a chunk
+    is below 1e-15 of the running sum of |chunk|; chunk width follows the
+    oscillation period pi/k when k dominates the decay scale.
     """
     # Imported here, its only use, to keep scipy.special out of package import.
     from scipy.special import spherical_jn
@@ -210,13 +210,14 @@ def bessel_transform_radial(qn: QuantumNumbers, a0: float, k: float) -> float:
         return r * r * spherical_jn(l, k * r) * radial_position(qn, a0, r)
 
     width = math.pi / max(k, 1.0 / (qn.n * a0))
-    total = 0.0
-    a = 0.0
+    extent = 2.0 * qn.n * qn.n * a0
+    total = mass = a = 0.0
     for _ in range(10000):
         chunk, _ = integrate(QuadratureSpec(f, a, a + width, rel_tol=1e-13))
         total += chunk
+        mass += abs(chunk)
         a += width
-        if a > 5 * qn.n * a0 and abs(chunk) < 1e-15 * max(abs(total), 1.0):
+        if a > extent and abs(chunk) <= 1e-15 * mass:
             break
     else:
         raise QuadratureError("Bessel transform tail did not decay", best=total, error=abs(chunk))

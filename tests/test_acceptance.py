@@ -61,7 +61,7 @@ def test_criterion_2_fourth_moment():
         val, _ = integrate_momentum(
             lambda k: k ** 4 * radial_momentum(qn, 1.0, k) ** 2, qn.n, 1.0)
         ok &= abs(qn.n ** 2 * val - 1.0) <= 1e-8
-    report(2, "momentum fourth moment", ok)
+    report(2, "momentum second moment", ok)
 
 
 def test_criterion_3_schmidt_spread_identity():

@@ -194,7 +194,7 @@ def test_verify_passes():
     res = run_cli("verify", "--n-max", "2")
     assert res.returncode == 0
     out = res.stdout
-    for name in ("momentum normalization", "momentum fourth moment",
+    for name in ("momentum normalization", "momentum second moment",
                  "second moments", "eigenvalue pipeline", "linear entropy"):
         assert f"{name}: pass" in out
 
@@ -279,7 +279,7 @@ def test_linent_excited_state():
 
 
 def test_linent_overflow_is_usage_error():
-    for argv, state in ((("--n", "750", "--l", "375"), "n=750, l=375"),
+    for argv, state in ((("--n", "3200", "--l", "880"), "n=3200, l=880"),
                         (("--n", "1", "--a0", "1e110"), "n=1, l=0"),
                         (("--n", "1", "--a0", "1e-110"), "n=1, l=0")):
         res = run_cli("linent", *argv)

@@ -146,17 +146,18 @@ def test_momentum_scaling_in_a0():
 
 def test_momentum_matches_bessel_transform_magnitude():
     # The momentum profile equals the spherical Bessel transform of R_nl up
-    # to a k-independent phase, so magnitudes must agree.
+    # to a k-independent phase, so magnitudes must agree.  The Rydberg states
+    # extend to about 2 n^2 a0, far past their decay length n a0.
     cases = [
         (QuantumNumbers(1, 0, 0), 1.0),
         (QuantumNumbers(2, 1, 0), 0.5),
         (QuantumNumbers(3, 2, 0), 0.8),
         (QuantumNumbers(4, 1, 0), 0.3),
-    ]
+    ] + [(qn, 0.75 / qn.n) for qn in RYDBERG]
     for qn, k in cases:
         direct = abs(radial_momentum(qn, 1.0, k))
         oracle = abs(bessel_transform_radial(qn, 1.0, k))
-        assert math.isclose(direct, oracle, rel_tol=1e-6), qn
+        assert math.isclose(direct, oracle, rel_tol=1e-12), qn
 
 
 def test_rydberg_normalisation_and_moments():
@@ -182,9 +183,10 @@ def test_rydberg_normalisation_and_moments():
 def test_overflow_raises_naming_the_state():
     # Past the documented limits a value overflows a float.  On an array and
     # on a float that is an OverflowError naming (n, l): never inf or nan, and
-    # no numpy RuntimeWarning.  N_nl alone overflows at (1100, 1099).
-    cases = [(radial_momentum, QuantumNumbers(750, 375), np.linspace(0.0, 1.0, 41)),
-             (radial_momentum, QuantumNumbers(1100, 1099), np.linspace(0.0, 0.01, 41)),
+    # no numpy RuntimeWarning.  F_nl fails near x = -1 at (3200, 880) and
+    # near x = 1 at (3500, 496).
+    cases = [(radial_momentum, QuantumNumbers(3200, 880), np.linspace(0.0, 0.4 / 3200, 41)),
+             (radial_momentum, QuantumNumbers(3500, 496), np.linspace(0.0, 12.0 / 3500, 41)),
              (radial_position, QuantumNumbers(1600, 0), np.linspace(0.0, 4.0 * 1600 ** 2, 41))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -200,20 +202,22 @@ def test_overflow_raises_naming_the_state():
                     assert name in str(exc)
                     raised += 1
             assert raised, (f.__name__, qn)
-        # At a0 = 1e-300 the prefactor e^{T/(d+1)} of R_10 overflows math.exp.
+        # At a0 = 1e-300 the prefactor e^{T/(d+1)} of R_10 overflows.
         for r in (0.0, np.array([0.0, 1.0])):
             with pytest.raises(OverflowError, match="R_nl overflows a float at n=1, l=0"):
                 radial_position(QuantumNumbers(1, 0), 1e-300, r)
 
 
 def test_finite_up_to_the_documented_limits():
-    # radial_momentum: every l to n = 735.  At n = 736 it fails at large k for
-    # l = 315..341, around l = 328, where C(n+l, n-l-1) is largest.
-    s = np.concatenate([np.linspace(0.0, 6.0, 61), np.geomspace(6.0, 1e12, 200)])
-    for l in range(300, 360):
-        assert np.isfinite(radial_momentum(QuantumNumbers(735, l), 1.0, s / 735)).all(), l
-    with pytest.raises(OverflowError, match="n=736, l=316"):
-        radial_momentum(QuantumNumbers(736, 316), 1.0, s / 736)
+    # radial_momentum: every l and k to n = 3127.  At n = 3128 it fails for
+    # l = 837..883 around k n a0 = 0.22, where the intermediates c^{j+1} C_j
+    # of the Gegenbauer recurrence peak; the middle grid resolves that window.
+    s = np.concatenate([np.linspace(0.0, 6.0, 61), np.linspace(0.2, 0.24, 401),
+                        np.geomspace(6.0, 1e12, 200)])
+    for l in range(830, 890):
+        assert np.isfinite(radial_momentum(QuantumNumbers(3127, l), 1.0, s / 3127)).all(), l
+    with pytest.raises(OverflowError, match="n=3128, l=837"):
+        radial_momentum(QuantumNumbers(3128, 837), 1.0, s / 3128)
     # radial_position: r <= 4 n^2 a0 to n = 1284; l = 0 fails first.
     for n, ok in ((1284, True), (1285, False)):
         r = np.linspace(0.0, 4.0 * n * n, 4001)
@@ -232,12 +236,12 @@ def _mp_position(n, l, a0, r):
             * mp.laguerre(n - l - 1, 2 * l + 1, rho, zeroprec=1000))
 
 
-def _mp_momentum(n, l, a0, k):
+def _mp_momentum(n, l, a0, k, zeroprec=1000):
     s = n * mp.mpf(a0) * mp.mpf(k)
     norm = (mp.sqrt(2 / mp.pi * mp.factorial(n - l - 1) / mp.factorial(n + l))
             * n ** 2 * mp.mpf(2) ** (2 * l + 2) * mp.factorial(l) * mp.mpf(a0) ** 1.5)
     return (norm * s ** l / (s * s + 1) ** (l + 2)
-            * mp.gegenbauer(n - l - 1, l + 1, (s * s - 1) / (s * s + 1), zeroprec=1000))
+            * mp.gegenbauer(n - l - 1, l + 1, (s * s - 1) / (s * s + 1), zeroprec=zeroprec))
 
 
 def test_pointwise_against_mpmath():
@@ -256,3 +260,16 @@ def test_pointwise_against_mpmath():
                 want = np.array([float(f_mp(n, l, a0, xi)) for xi in x.tolist()])
                 bound = 1e-12 * np.abs(want) + 1e-14 * np.abs(want).max()
                 assert (np.abs(got - want) <= bound).all(), (f.__name__, qn)
+        # F_nl past R_nl's limit.  Its log-prefactor T is of order 10^4 here,
+        # so one rounding of T moves F by about 1e-12 of itself; the worst
+        # observed terms past 1e-12 of the value are 1.7e-14 and 8.3e-13 of
+        # the maximum.  C_d cancels to ~800 digits, more than zeroprec=1000
+        # bits can tell from a zero.
+        for n, l in ((1000, 500), (2000, 1000)):
+            a0 = 1.0 / (n * n)
+            x = np.linspace(0.0, 6.0 / (n * a0), 31)
+            got = radial_momentum(QuantumNumbers(n, l), a0, x)
+            want = np.array([float(_mp_momentum(n, l, a0, xi, zeroprec=10000))
+                             for xi in x.tolist()])
+            bound = 1e-12 * np.abs(want) + 2e-12 * np.abs(want).max()
+            assert (np.abs(got - want) <= bound).all(), (n, l)

@@ -2,10 +2,11 @@ import math
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hydrolens.hydrogenic import QuantumNumbers, radial_momentum
-from hydrolens.linear_entropy import angular_sum, linear_entropy, radial_sum
+from hydrolens.linear_entropy import _legendre_rule, angular_sum, linear_entropy, radial_sum
 from hydrolens.oracle import integrate_momentum, integrate_theta
 from hydrolens.specfun import spherical_harmonic_sq
 
@@ -60,6 +61,18 @@ def test_angular_sum_even_in_m():
             assert angular_sum(l, m) == angular_sum(l, -m)
 
 
+def test_angular_sum_reuses_one_rule_per_l():
+    # The cached rule gives the bits of a rule computed afresh on every call.
+    for l in range(13):
+        x, w = np.polynomial.legendre.leggauss(2 * l + 1)
+        for m in range(-l, l + 1):
+            y2 = spherical_harmonic_sq(l, m, np.arccos(x))
+            assert angular_sum(l, m) == 2.0 * math.pi * float(np.dot(w, y2 * y2)), (l, m)
+    theta, w = _legendre_rule(5)
+    assert _legendre_rule(5)[0] is theta
+    assert not theta.flags.writeable and not w.flags.writeable
+
+
 def test_angular_sum_stretched_closed_form():
     # |Y^l_l|^2 = c sin^(2l), so int |Y^l_l|^4 dOmega has the exact form
     # (2l+1)^2 C(2l, l)^2 (2l)!^2 / (4 pi (4l+1)!).  l up to 199 runs past
@@ -102,11 +115,11 @@ def test_radial_sum_is_m_independent():
 
 
 def test_radial_sum_overflow_raises():
-    # F_nl overflows on the Gauss-Chebyshev nodes from about n = 750; the
-    # result must be an error naming the state, with no NaN and no warning.
-    for call in (lambda: radial_sum(750, 375),
-                 lambda: linear_entropy(QuantumNumbers(750, 375, 0))):
-        with pytest.raises(OverflowError, match="n=750, l=375"):
+    # F_nl overflows on the Gauss-Chebyshev nodes past its n = 3127 limit;
+    # the result must be an error naming the state, with no NaN and no warning.
+    for call in (lambda: radial_sum(3200, 880),
+                 lambda: linear_entropy(QuantumNumbers(3200, 880, 0))):
+        with pytest.raises(OverflowError, match="n=3200, l=880"):
             call()
     # c a0^3 underflows (a0 = 1e-110) or overflows (a0 = 1e110) a float: an
     # error too, never 0, inf or nan.

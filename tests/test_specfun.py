@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hydrolens.specfun import gegenbauer, spherical_harmonic_sq
+from hydrolens.specfun import spherical_harmonic_sq
 
 # Degrees for the large-l checks: every l <= 12 and spot degrees past the
 # l + |m| = 171 at which (l + |m|)! overflows a float.
@@ -53,29 +53,3 @@ def test_spherical_harmonic_sq_unsold_identity():
     scalars = [[spherical_harmonic_sq(7, -3, t) for t in row] for row in grid.tolist()]
     np.testing.assert_allclose(values, scalars, rtol=1e-14)
 
-
-def test_gegenbauer_low_degrees():
-    for x in (-0.8, 0.0, 0.3, 1.0):
-        for alpha in (1.0, 2.5):
-            assert gegenbauer(alpha, 0, x) == 1.0
-            assert math.isclose(gegenbauer(alpha, 1, x), 2 * alpha * x, abs_tol=1e-15)
-            assert math.isclose(gegenbauer(alpha, 2, x),
-                                2 * alpha * (alpha + 1) * x * x - alpha, abs_tol=1e-14)
-
-
-def test_gegenbauer_array_matches_scalar_calls():
-    grid = np.array([[-1.0, -0.3], [0.45, 1.0]])
-    for alpha, n in ((1.0, 0), (1.0, 1), (2.5, 7), (101.0, 99)):
-        values = gegenbauer(alpha, n, grid)
-        assert values.shape == grid.shape
-        assert (values == [[gegenbauer(alpha, n, x) for x in row] for row in grid.tolist()]).all()
-        for x in (0.45, np.float64(0.45), np.array(0.45)):
-            got = gegenbauer(alpha, n, x)
-            assert type(got) is float and got == gegenbauer(alpha, n, 0.45)
-
-
-def test_gegenbauer_invalid_args():
-    with pytest.raises(ValueError):
-        gegenbauer(0.0, 1, 0.5)
-    with pytest.raises(ValueError):
-        gegenbauer(1.0, -1, 0.5)
