@@ -4,9 +4,10 @@ Nothing in here is used by the production paths; closed forms elsewhere in
 the package are checked against these quadratures and exact sums in the test
 suite.  racah_3j, through angular_purity_exact, is the exact-rational oracle
 for linear_entropy.angular_sum.  The semi-infinite momentum integrals use the
-compactifying variable x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1), which maps
-[0, inf) onto [-1, 1] and removes the algebraic tail of the momentum profiles
-exactly.
+half-angle map n a0 k = tan(phi/2), which takes [0, inf) onto (0, pi) and
+turns the momentum moments k^(2j) F_nl^(2q) dk, 2j + 2 <= 8q, into
+trigonometric polynomials in phi, with no endpoint singularity for bisection
+to chase.
 
 integrate calls its integrand once per bisection level, on the nodes of
 every panel still open, so integrands map a node array to an array; the
@@ -152,30 +153,27 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], rel_tol: floa
     return integrate(QuadratureSpec(g, 0.0, 1.0, rel_tol=rel_tol, **kwargs))
 
 
-def momentum_compactification(n: int, a0: float):
-    """Forward/backward maps for x = (n^2 a0^2 k^2 - 1)/(n^2 a0^2 k^2 + 1),
-    on a float or an array."""
-
-    def k_of_x(x):
-        return np.sqrt((1.0 + x) / (1.0 - x)) / (n * a0)
-
-    def jacobian(x):
-        # dk = k dx / (1 - x^2)
-        return k_of_x(x) / (1.0 - x * x)
-
-    return k_of_x, jacobian
-
-
 def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int, a0: float,
                        rel_tol: float = 1e-12, **kwargs) -> tuple[float, float]:
-    """int_0^inf f(k) dk through the compactifying substitution to [-1, 1].
-    f maps an array to an array, as a QuadratureSpec integrand does."""
-    k_of_x, jac = momentum_compactification(n, a0)
+    """int_0^inf f(k) dk through the half-angle map s = n a0 k = tan(phi/2),
+    phi in (0, pi), dk = (1 + s^2)/(2 n a0) dphi.  f maps an array to an
+    array, as a QuadratureSpec integrand does.
 
-    def g(x: np.ndarray) -> np.ndarray:
-        return f(k_of_x(x)) * jac(x)
+    F_nl is s^l/(1+s^2)^(l+2) times a polynomial in (s^2-1)/(s^2+1) = -cos(phi),
+    and s/(1+s^2) = sin(phi)/2, so every k^(2j) F_nl^(2q) dk with 2j + 2 <= 8q
+    is a trigonometric polynomial in phi: the panels accept within a few
+    levels, and <k^4> converges.  linear_entropy.radial_sum uses the same
+    angle, reflected (theta = pi - phi), with a fixed 2n+1 node Chebyshev rule
+    that is exact only at the degree it assumes; this oracle stays independent
+    of it through the adaptive Gauss-Legendre error test, which assumes none.
+    """
+    unit = 1.0 / (n * a0)
 
-    return integrate(QuadratureSpec(g, -1.0, 1.0, rel_tol=rel_tol, **kwargs))
+    def g(phi: np.ndarray) -> np.ndarray:
+        s = np.tan(0.5 * phi)
+        return f(s * unit) * (0.5 * unit * (1.0 + s * s))
+
+    return integrate(QuadratureSpec(g, 0.0, math.pi, rel_tol=rel_tol, **kwargs))
 
 
 def integrate_theta(g: Callable[[float], float], rel_tol: float = 1e-12) -> float:

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from hydrolens.oracle import (
     integrate_momentum,
     integrate_semi_infinite,
     integrate_theta,
-    momentum_compactification,
     racah_3j,
 )
 
@@ -65,18 +65,32 @@ def reference_integrate(spec):
     return total, max(err, abs(total) * 1e-15), splits, depth
 
 
+def momentum_spec(f, n, a0):
+    """The QuadratureSpec that integrate_momentum(f, n, a0) hands to integrate."""
+    seen = []
+    with mock.patch("hydrolens.oracle.integrate", lambda spec: seen.append(spec) or (0.0, 0.0)):
+        integrate_momentum(f, n, a0)
+    return seen[0]
+
+
+def momentum_integrands(qn, a0):
+    """k^2 F^2, k^4 F^2 and k^2 F^4: the norm, <k^2> and the radial purity."""
+    f = lambda k: radial_momentum(qn, a0, k)
+    return (lambda k: k * k * f(k) ** 2, lambda k: k ** 4 * f(k) ** 2,
+            lambda k: k * k * f(k) ** 4)
+
+
 def mapped_specs():
-    """The momentum and radial integrals of verify, as integrate sees them,
-    for a spread of states with n <= 12."""
+    """The momentum and radial integrals of verify, and <k^4>, as integrate
+    sees them, for a spread of states with n <= 12.  Each integrand binds its
+    state as a default, since the specs are used after the loop has moved on."""
     for n, l in ((1, 0), (2, 1), (5, 0), (7, 3), (12, 0), (12, 6), (12, 11)):
         qn, a0 = QuantumNumbers(n, l), 1.0
-        k_of_x, jac = momentum_compactification(n, a0)
-        for power in (2, 4):
-            yield QuadratureSpec(
-                lambda x: k_of_x(x) ** 2 * radial_momentum(qn, a0, k_of_x(x)) ** power
-                * jac(x))
+        k4 = lambda k, qn=qn: k ** 6 * radial_momentum(qn, a0, k) ** 2
+        for f in (*momentum_integrands(qn, a0), k4):
+            yield momentum_spec(f, n, a0)
         yield QuadratureSpec(
-            lambda t: (t / (1.0 - t)) ** 4 * radial_position(qn, a0, t / (1.0 - t)) ** 2
+            lambda t, qn=qn: (t / (1.0 - t)) ** 4 * radial_position(qn, a0, t / (1.0 - t)) ** 2
             / (1.0 - t) ** 2, 0.0, 1.0)
 
 
@@ -184,31 +198,60 @@ def test_subdivision_budget_matches_reference():
 
 
 def test_too_narrow_panel_raises_with_best_estimate():
-    # <k^4> of (1, 0) is 5, but k^6 F^2 dk behaves as (1 - x)^(-1/2) at the
-    # mapped endpoint x = 1, and so does (1 + r)^(-3/2) dr under the tangent
-    # map at t = 1.  Bisection reaches panels whose nodes round onto the
-    # endpoint; the integrand must not be called there.
+    # (1 + r)^(-3/2) dr behaves as (1 - t)^(-1/2) at t = 1 under the tangent
+    # map.  Bisection reaches panels whose nodes round onto the endpoint; the
+    # integrand must not be called there.  <k^4> of (1, 0) = 5, k^6 F^2 dk,
+    # has no such endpoint: under the half-angle map it is a trigonometric
+    # polynomial, and it converges.
     qn = QuantumNumbers(1, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(QuadratureError, match="too narrow") as exc_info:
-            integrate_momentum(lambda k: k ** 6 * radial_momentum(qn, 1.0, k) ** 2, 1, 1.0)
-        assert math.isclose(exc_info.value.best, 5.0, rel_tol=1e-6)
+        val, _ = integrate_momentum(lambda k: k ** 6 * radial_momentum(qn, 1.0, k) ** 2, 1, 1.0)
+        assert math.isclose(val, 5.0, rel_tol=1e-13)
         with pytest.raises(QuadratureError, match="too narrow") as exc_info:
             integrate_semi_infinite(lambda r: (1.0 + r) ** -1.5)
         assert math.isclose(exc_info.value.best, 2.0, rel_tol=1e-6)
 
 
-def test_compactification_maps():
-    n, a0 = 2, 1.5
-    k_of_x, jac = momentum_compactification(n, a0)
-    assert math.isclose(k_of_x(0.0), 1.0 / (n * a0))
-    # x(k) round trip
-    for x in (-0.9, -0.3, 0.2, 0.8):
-        k = k_of_x(x)
-        u = (n * a0 * k) ** 2
-        assert math.isclose((u - 1.0) / (u + 1.0), x, rel_tol=1e-12)
-        assert math.isclose(jac(x), k / (1.0 - x * x), rel_tol=1e-14)
+def test_half_angle_map_closed_forms():
+    # With c = n a0: int dk/(1 + (ck)^2) = pi/(2c), a constant in phi, and
+    # int k^2/(1 + (ck)^2)^3 dk = pi/(16 c^3), sin^2(phi)/(16 c^3) in phi.
+    for n in (1, 3, 12):
+        for a0 in (1e-3, 0.7, 1.0, 1e3):
+            c = n * a0
+            val, _ = integrate_momentum(lambda k: 1.0 / (1.0 + (c * k) ** 2), n, a0)
+            assert math.isclose(val, math.pi / (2.0 * c), rel_tol=1e-14), (n, a0)
+            val, _ = integrate_momentum(lambda k: k * k / (1.0 + (c * k) ** 2) ** 3, n, a0)
+            assert math.isclose(val, math.pi / (16.0 * c ** 3), rel_tol=1e-14), (n, a0)
+
+
+def test_fourth_momentum_moment_closed_form():
+    # <k^4> = int k^6 F^2 dk = (8n/(2l+1) - 3)/n^4 (Bethe & Salpeter), a0 = 1.
+    for n in range(1, 13):
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            val, _ = integrate_momentum(
+                lambda k: k ** 6 * radial_momentum(qn, 1.0, k) ** 2, n, 1.0)
+            expect = (8.0 * n / (2 * l + 1) - 3.0) / n ** 4
+            assert math.isclose(val, expect, rel_tol=1e-12), (n, l, val, expect)
+
+
+def test_momentum_integrals_converge_in_few_levels():
+    # Every momentum integrand of verify is a trigonometric polynomial under
+    # the half-angle map, so bisection stops within a few levels: at most 6
+    # integrand calls for each of the 234 integrals with n <= 12.
+    for n in range(1, 13):
+        for l in range(n):
+            for f in momentum_integrands(QuantumNumbers(n, l), 1.0):
+                spec = momentum_spec(f, n, 1.0)
+                calls = []
+
+                def counted(x, g=spec.integrand):
+                    calls.append(x.size)
+                    return g(x)
+
+                integrate(QuadratureSpec(counted, spec.a, spec.b))
+                assert len(calls) <= 6, (n, l, len(calls))
 
 
 def gegenbauer(alpha, n, x):
@@ -238,7 +281,7 @@ def test_gegenbauer_orthogonality_closed_form():
 
 
 def test_momentum_domain_gegenbauer_weighted():
-    # The compactified momentum integral reproduces the same orthogonality
+    # The half-angle momentum integral reproduces the same orthogonality
     # closed form when the integrand is assembled from the weight explicitly.
     n_qn, a0, alpha, deg = 3, 1.0, 2.0, 1
 
