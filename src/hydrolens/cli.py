@@ -175,7 +175,7 @@ def _verify_checks(n_max: int):
     for qn in zero_m:
         val, _ = integrate_momentum(
             lambda k: k * k * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
-        ok &= abs(val - 1.0) <= 1e-8
+        ok &= abs(val - 1.0) <= 1e-13
     yield "momentum normalization", ok
 
     ok = True
@@ -183,7 +183,7 @@ def _verify_checks(n_max: int):
     for qn in zero_m:
         k4[qn.n, qn.l], _ = integrate_momentum(
             lambda k: k ** 4 * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
-        ok &= abs(qn.n ** 2 * a0 ** 2 * k4[qn.n, qn.l] - 1.0) <= 1e-8
+        ok &= abs(qn.n ** 2 * a0 ** 2 * k4[qn.n, qn.l] - 1.0) <= 1e-13
     yield "momentum second moment", ok
 
     # Each variance against quadrature: <r^2> once per (n, l), <k^2> from the
@@ -194,7 +194,7 @@ def _verify_checks(n_max: int):
         n, l, m = qn.n, qn.l, qn.m
         if (n, l) not in r4:
             r4[n, l], _ = integrate_semi_infinite(
-                lambda r: r ** 4 * radial_position(qn, a0, r) ** 2)
+                lambda r: r ** 4 * radial_position(qn, a0, r) ** 2, scale=n * n * a0)
         if (l, m) not in ang:
             ang[l, m] = (
                 math.pi * integrate_theta(
@@ -204,7 +204,7 @@ def _verify_checks(n_max: int):
         f_perp, f_z = ang[l, m]
         quad = (r4[n, l] * f_perp, r4[n, l] * f_perp, r4[n, l] * f_z,
                 k4[n, l] * f_perp, k4[n, l] * f_perp, k4[n, l] * f_z)
-        ok &= all(abs(c - q) <= 1e-11 * q for c, q in zip(relative_moments(qn), quad))
+        ok &= all(abs(c - q) <= 1e-13 * q for c, q in zip(relative_moments(qn), quad))
     yield "second moments", ok
 
     ok = True
@@ -224,7 +224,7 @@ def _verify_checks(n_max: int):
         ang = 2.0 * math.pi * integrate_theta(
             lambda t: math.sin(t) * spherical_harmonic_sq(qn.l, qn.m, t) ** 2)
         closed = linear_entropy(qn, a0).product
-        ok &= abs(rad[qn.n, qn.l] * ang - closed) <= 1e-10 * closed
+        ok &= abs(rad[qn.n, qn.l] * ang - closed) <= 1e-12 * closed
     yield "linear entropy", ok
 
 

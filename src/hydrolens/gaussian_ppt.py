@@ -10,10 +10,15 @@ All first moments and mixed products vanish, so the 12x12 covariance matrix
 is block-diagonal by axis: three two-mode Gaussians (x1, p1, x2, p2).  The
 six eigenvalues have a closed form in the ratio a0/b; it gives the point
 verdict, the detection map (the whole grid as columns) and the blind band.
-ppt_numeric is its independent oracle: it builds each axis's particle-basis
-block from the variances alone and takes the partially transposed spectrum
-from the invariants Delta and det sigma in exact integer arithmetic on one
-power-of-two scale, rounding each eigenvalue's quotient once.
+The one closed form runs on Python floats (math.sqrt) for a float ratio and
+on numpy arrays (np.sqrt) for a grid; both square roots are correctly
+rounded, so a point verdict and the map cell at the same ratio agree bit for
+bit.  ppt_numeric is its independent oracle: it builds each axis's
+particle-basis block from the variances alone and takes the partially
+transposed spectrum from the invariants Delta and det sigma in exact integer
+arithmetic on one power-of-two scale, rounding each eigenvalue's quotient
+once.  It solves each distinct axis block once: y always repeats x, and z
+does too for isotropic states.
 """
 
 from __future__ import annotations
@@ -90,18 +95,23 @@ def _particle_block(q2: float, p2: float, X2: float,
 
 
 def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
-    """The six eigenvalues as three exact per-axis two-mode solves, in exact
-    integer arithmetic on one power-of-two scale per axis.
+    """The six eigenvalues as per-axis two-mode solves, in exact integer
+    arithmetic on one power-of-two scale per axis.
 
-    The partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of
-    the closed form beyond the twelve variances, so it is its oracle.
+    Each distinct axis (<q^2>, <p^2>) is solved once and its pair reused for
+    a repeated one; the key is the values, so no symmetry is assumed.  The
+    partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of the
+    closed form beyond the twelve variances, so it is its oracle.
     """
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     X2, P2 = com_moments(a0_over_b)
+    solved = {}
     nu = []
-    for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2)):
-        a_q, a_p, c_q, c_p, e = _particle_block(q2, p2, X2, P2)
-        nu.extend(_two_mode_nu(a_q, a_p, c_q, -c_p, e))
+    for axis in ((x2, px2), (y2, py2), (z2, pz2)):
+        if axis not in solved:
+            a_q, a_p, c_q, c_p, e = _particle_block(*axis, X2, P2)
+            solved[axis] = _two_mode_nu(a_q, a_p, c_q, -c_p, e)
+        nu.extend(solved[axis])
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=tuple(sorted(nu)))
 
 
@@ -110,19 +120,22 @@ def _nu(qn: QuantumNumbers, a0_over_b):
 
     nu_1 = sqrt(<x^2> <P_X^2>), nu_2 = 4 sqrt(<X^2> <p_x^2>), and likewise for
     the y (degenerate with x) and z pairs, with all variances dimensionless.
-    a0_over_b may be a float or a numpy array; each nu has its shape.
+    a0_over_b may be a float or a numpy array; each nu has its shape.  A
+    scalar ratio takes math.sqrt and gives Python floats, an array np.sqrt;
+    both are correctly rounded square roots of the same products, so each nu
+    has the same bits either way.
     """
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     X2, P2 = com_moments(a0_over_b)
-    return (np.sqrt(x2 * P2), 4.0 * np.sqrt(X2 * px2),
-            np.sqrt(y2 * P2), 4.0 * np.sqrt(X2 * py2),
-            np.sqrt(z2 * P2), 4.0 * np.sqrt(X2 * pz2))
+    sqrt = np.sqrt if isinstance(X2, np.ndarray) else math.sqrt
+    return (sqrt(x2 * P2), 4.0 * sqrt(X2 * px2),
+            sqrt(y2 * P2), 4.0 * sqrt(X2 * py2),
+            sqrt(z2 * P2), 4.0 * sqrt(X2 * pz2))
 
 
 def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     """Closed-form symplectic eigenvalues of the partial transpose at one ratio."""
-    nu = tuple(float(v) for v in _nu(qn, a0_over_b))
-    return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=nu)
+    return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=_nu(qn, a0_over_b))
 
 
 @dataclass(frozen=True, eq=False)

@@ -52,10 +52,15 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
     """Dimensionless centre-of-mass variances (<X^2>, <P_X^2>), each shared by
     all three axes: b^2/(2 a0^2) and a0^2/(2 b^2).  Their product is exactly
     1/4 (minimum-uncertainty Gaussian).  a0_over_b may be a float or a numpy
-    array; every entry must lie in [1e-100, 1e100]."""
-    ratio = np.asarray(a0_over_b)
-    ok = (ratio >= _RATIO_RANGE[0]) & (ratio <= _RATIO_RANGE[1])
-    if not np.all(ok):
-        raise ValueError(f"a0/b ratio must lie in [{_RATIO_RANGE[0]:g}, {_RATIO_RANGE[1]:g}], "
-                         f"got {ratio[~ok].flat[0]}")
+    array; every entry must lie in [1e-100, 1e100].
+
+    For a Python float or int the range check is two comparisons and an &
+    on plain bools, with no numpy; np.all runs only for numpy inputs, and
+    the error message is built only when the check fails."""
+    lo, hi = _RATIO_RANGE
+    ok = (a0_over_b >= lo) & (a0_over_b <= hi)
+    if not (ok is True or np.all(ok)):
+        ratio = np.asarray(a0_over_b)
+        raise ValueError(f"a0/b ratio must lie in [{lo:g}, {hi:g}], "
+                         f"got {ratio[~np.asarray(ok)].flat[0]}")
     return 0.5 / (a0_over_b * a0_over_b), 0.5 * a0_over_b * a0_over_b

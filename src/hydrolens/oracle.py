@@ -142,13 +142,19 @@ def integrate(spec: QuadratureSpec) -> tuple[float, float]:
 
 
 def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-12,
-                            **kwargs) -> tuple[float, float]:
-    """int_0^inf f via the tangent map t in (0, 1), x = t/(1-t).  f maps an
-    array to an array, as a QuadratureSpec integrand does."""
+                            scale: float = 1.0, **kwargs) -> tuple[float, float]:
+    """int_0^inf f via the tangent map t in (0, 1), x = scale t/(1-t), with
+    Jacobian scale/(1-t)^2.  A scale near the integrand's extent (n^2 a0 for
+    a hydrogenic radial moment) centres its mass in t, and verify's radial
+    moments then take less than half the integrand calls.  At the default the
+    factors of 1.0 are exact, so the result is that of x = t/(1-t) bit for
+    bit.  f maps an array to an array, as a QuadratureSpec integrand does."""
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale}")
 
     def g(t: np.ndarray) -> np.ndarray:
-        x = t / (1.0 - t)
-        return f(x) / (1.0 - t) ** 2
+        x = scale * t / (1.0 - t)
+        return scale * f(x) / (1.0 - t) ** 2
 
     return integrate(QuadratureSpec(g, 0.0, 1.0, rel_tol=rel_tol, **kwargs))
 

@@ -214,6 +214,38 @@ def test_verify_second_moments_catch_a_perturbed_variance(monkeypatch):
     assert dict(cli._verify_checks(2))["second moments"] is False
 
 
+def test_verify_momentum_normalization_catches_a_scaled_f_nl(monkeypatch):
+    # F_nl off by 1e-10 relative puts the norm 2e-10 from 1, which the 1e-13
+    # tolerance rejects.
+    exact = cli.radial_momentum
+    monkeypatch.setattr(cli, "radial_momentum",
+                        lambda qn, a0, k: exact(qn, a0, k) * (1 + 1e-10))
+    assert dict(cli._verify_checks(2))["momentum normalization"] is False
+
+
+def test_verify_radial_integrals_converge_in_few_calls(monkeypatch):
+    # verify maps r = n^2 a0 t/(1-t), so each of its 78 int r^4 R^2 dr with
+    # n <= 12 converges within 7 integrand calls (11 under r = t/(1-t)).
+    exact = cli.integrate_semi_infinite
+    calls = []
+
+    def counted(f, **kwargs):
+        calls.append(0)
+
+        def g(r):
+            calls[-1] += 1
+            return f(r)
+
+        return exact(g, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_semi_infinite", counted)
+    for name, ok in cli._verify_checks(12):
+        assert ok, name
+        if name == "second moments":
+            break
+    assert len(calls) == 78 and max(calls) <= 7, (len(calls), max(calls))
+
+
 def test_verify_injected_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_verify_checks", lambda n_max: iter([("injected", False)]))
     assert cli.main(["verify", "--n-max", "1"]) == 5

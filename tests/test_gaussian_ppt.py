@@ -243,6 +243,8 @@ def test_detection_map_grid_order_and_values():
             for i, a0 in enumerate(grid.a0.tolist()):
                 for j, b in enumerate(grid.b.tolist()):
                     v = ppt_closed_form(qn, a0 / b)
+                    # The point path runs on Python floats, the map on arrays.
+                    assert all(type(x) is float for x in v.nu), (qn, a0, b)
                     got = tuple(c[i, j].item() for c in cells)
                     assert got == (v.nu[0], v.nu[1], v.nu[4], v.nu[5],
                                    v.min_nu, v.detected), (qn, a0, b)

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -81,5 +82,17 @@ def test_com_moments_minimum_uncertainty():
         assert abs(X2 * P2 - 0.25) <= 1e-16
     for bad in (0.0, math.nan, math.inf, -math.inf, 1e200, 1e-200, np.array([1.0, math.nan])):
         with pytest.raises(ValueError):
+            com_moments(bad)
+
+
+def test_com_moments_scalar_types():
+    # numpy scalars, 0-d arrays and ints take the same closed form as a float.
+    want = com_moments(2.0)
+    for ratio in (np.float64(2.0), np.array(2.0), 2):
+        assert com_moments(ratio) == want, type(ratio)
+    # Each rejection names the value that failed the range check.
+    for bad, shown in ((np.float64(math.nan), "nan"), (np.array(math.nan), "nan"),
+                       (1e200, "1e+200")):
+        with pytest.raises(ValueError, match=re.escape(f"got {shown}") + "$"):
             com_moments(bad)
 

@@ -126,6 +126,25 @@ def test_semi_infinite_exponential():
     assert abs(val - 1.0) <= 10.0 * max(err, 1e-15)
 
 
+def test_semi_infinite_default_scale_is_the_plain_tangent_map():
+    # scale = 1.0 multiplies by one, exactly, so the default gives the bits of
+    # x = t/(1-t) with Jacobian 1/(1-t)^2.
+    for f in (lambda x: np.exp(-x),
+              lambda r: r ** 4 * radial_position(QuantumNumbers(7, 3), 1.0, r) ** 2):
+        plain = integrate(QuadratureSpec(lambda t: f(t / (1.0 - t)) / (1.0 - t) ** 2, 0.0, 1.0))
+        assert integrate_semi_infinite(f) == plain
+
+
+def test_semi_infinite_scale():
+    # int_0^inf e^(-x/c) dx = c for extents far from 1.
+    for c in (1e-3, 0.5, 144.0, 1e4):
+        val, _ = integrate_semi_infinite(lambda x: np.exp(-x / c), scale=c)
+        assert math.isclose(val, c, rel_tol=1e-13), c
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            integrate_semi_infinite(lambda x: np.exp(-x), scale=bad)
+
+
 def test_error_estimates_are_honest():
     # On integrals with known values the true error stays within 10x the
     # reported estimate (plus double-precision floor).
