@@ -13,6 +13,10 @@ integrate calls its integrand once per bisection level, on the nodes of
 every panel still open, so integrands map a node array to an array; the
 radial functions of hydrogenic take arrays for this.  Only integrate_theta
 calls its integrand once per node, with a Python float.
+
+bessel_transform_radial checks that F_nl is the Fourier transform of R_nl.
+Its j_l is _spherical_jn, an array recurrence (upward above x = l, Miller's
+downward below it), so the package needs nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -57,8 +61,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise ValueError(f"require finite a < b, got a={self.a}, b={self.b}")
-        if self.rel_tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("need at least one subdivision")
 
@@ -193,25 +197,64 @@ def integrate_theta(g: Callable[[float], float], rel_tol: float = 1e-12) -> floa
     return val
 
 
+def _spherical_jn(l: int, x: np.ndarray) -> np.ndarray:
+    """The spherical Bessel function j_l on an array of x >= 0.
+
+    Above x = l, the upward recurrence j_{k+1} = (2k+1)/x j_k - j_{k-1} from
+    j_0 = sin x/x and j_1 = (j_0 - cos x)/x, which is stable while k < x.  At
+    and below x = l, Miller's downward recurrence, carried as the ratios
+    rho_k = j_{k+1}/j_k from rho_L = 0 so that nothing overflows; L runs past
+    l by the width of the turning point, which grows like l^(1/3).  The
+    ratios give (j_0, j_1) = c (u, 1), u = 3/x - rho_1, and j_l = c times the
+    product of rho_1 ... rho_{l-1}.  c is the projection of the closed forms
+    of (j_0, j_1) onto (u, 1), so j_0 carries it where j_1 cancels (small x)
+    or vanishes, and j_1 where j_0 vanishes.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, float(l == 0))  # j_l(0)
+    pos = x > 0.0
+    t = x[pos]
+    j0 = np.sin(t) / t
+    j1 = (j0 - np.cos(t)) / t
+    val = np.empty_like(t)
+    up = t > l
+    if up.any():
+        s, a, b = t[up], j0[up], j1[up]
+        for k in range(1, l):
+            a, b = b, (2 * k + 1) / s * b - a
+        val[up] = b if l else a
+    down = ~up
+    if down.any():
+        s = t[down]
+        rho, ratio = np.zeros_like(s), np.ones_like(s)
+        for k in range(l + 16 + 8 * math.ceil(l ** (1.0 / 3.0)), 1, -1):
+            rho = 1.0 / ((2 * k + 1) / s - rho)  # rho_{k-1}
+            if k <= l:
+                ratio *= rho  # j_l/j_1 once k = 2
+        u = 3.0 / s - rho
+        h = np.hypot(u, 1.0)
+        val[down] = ratio * (j0[down] * (u / h) + j1[down] / h) / h
+    out[pos] = val
+    return out
+
+
 def bessel_transform_radial(qn: QuantumNumbers, a0: float, k: float) -> float:
     """sqrt(2/pi) int_0^inf r^2 j_l(k r) R_nl(r) dr.
 
     R_nl extends to about 2 n^2 a0 and decays like e^{-r/(n a0)} past it, so
     the transform is integrated chunk by chunk until, past 2 n^2 a0, a chunk
     is below 1e-15 of the running sum of |chunk|; chunk width follows the
-    oscillation period pi/k when k dominates the decay scale.
+    oscillation period pi/k when k dominates the decay scale.  k must be
+    finite and >= 0.
     """
-    # Imported here, its only use, to keep scipy.special out of package import.
-    from scipy.special import spherical_jn
-
-    if k < 0:
-        raise ValueError("wavevector must be >= 0")
+    if not 0.0 <= k < math.inf:
+        raise ValueError(f"wavevector must be finite and >= 0, got {k}")
     l = qn.l
     if k == 0.0 and l >= 1:
         return 0.0
 
-    def f(r: float) -> float:
-        return r * r * spherical_jn(l, k * r) * radial_position(qn, a0, r)
+    def f(r: np.ndarray) -> np.ndarray:
+        return r * r * _spherical_jn(l, k * r) * radial_position(qn, a0, r)
 
     width = math.pi / max(k, 1.0 / (qn.n * a0))
     extent = 2.0 * qn.n * qn.n * a0

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 import warnings
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hydrolens.linear_entropy import angular_sum
 from hydrolens.oracle import (
     QuadratureError,
     QuadratureSpec,
+    _spherical_jn,
     angular_purity_exact,
     bessel_transform_radial,
     integrate,
@@ -105,8 +108,9 @@ def from_roots(roots):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(lambda x: x, rel_tol=0.0)
+    for rel_tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="rel_tol"):
+            QuadratureSpec(lambda x: x, rel_tol=rel_tol)
     with pytest.raises(ValueError):
         QuadratureSpec(lambda x: x, max_subdivisions=0)
     for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
@@ -336,8 +340,41 @@ def test_bessel_transform_ground_state():
 
 def test_bessel_transform_zero_wavevector():
     assert bessel_transform_radial(QuantumNumbers(2, 1, 0), 1.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        bessel_transform_radial(QuantumNumbers(1, 0, 0), 1.0, -1.0)
+
+
+def test_bessel_transform_rejects_a_bad_wavevector():
+    for k in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="wavevector"):
+            bessel_transform_radial(QuantumNumbers(1, 0, 0), 1.0, k)
+
+
+def _mp_spherical_jn(l, x):
+    x = mpmath.mpf(x)
+    return mpmath.besselj(l + mpmath.mpf(0.5), x) * mpmath.sqrt(mpmath.pi / (2 * x))
+
+
+def test_spherical_jn_against_mpmath():
+    # The x range covers what the Bessel-transform checks ask for (x <= 372
+    # at l <= 199), and x = l +- 1e-9 straddles the switch between the two
+    # recurrences.  Near the zeros of j_0 (pi, 2 pi) and of j_1 (4.4934...)
+    # the normalisation must lean on the other one.  The bound is relative
+    # to |j_l| below x = l, where j_l has no zeros, and to the envelope 1/x
+    # above it; a value below the normal float range carries fewer digits,
+    # so the envelope is floored at the smallest normal float.
+    j1_zero = 4.493409457909064
+    with mpmath.workdps(50):
+        for l in (0, 1, 2, 5, 11, 50, 100, 199):
+            xs = np.concatenate((np.geomspace(1e-3, 400.0, 121),
+                                 [l + 1e-9, l - 1e-9, math.pi, 2 * math.pi, j1_zero]))
+            xs = xs[xs > 0.0]
+            for x, got in zip(xs.tolist(), _spherical_jn(l, xs).tolist()):
+                want = _mp_spherical_jn(l, x)
+                envelope = abs(want) if x <= l else 1.0 / mpmath.mpf(x)
+                bound = 1e-13 * max(envelope, sys.float_info.min)
+                assert abs(got - want) <= bound, (l, x, got, want)
+    # j_l(0) is 1 for l = 0 and 0 otherwise, also beside x > 0 in one array.
+    for l in (0, 1, 2, 5, 199):
+        assert _spherical_jn(l, np.array([0.0, 1.0, 0.0]))[::2].tolist() == [float(l == 0)] * 2
 
 
 def test_racah_trivial_and_selection():
