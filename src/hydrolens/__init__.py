@@ -1,4 +1,10 @@
-"""Entanglement witnesses for hydrogen-like two-body quantum systems."""
+"""Entanglement witnesses for hydrogen-like two-body quantum systems.
+
+Importing the package loads no numpy: every public name but radial_momentum
+and radial_position comes from a module that imports numpy only inside the
+functions that work on arrays.  Those two are resolved on first access
+(PEP 562), which imports hydrogenic and numpy.
+"""
 
 from .free_schmidt import SchmidtSpread, schmidt_spread, reduced_mass_comparison
 from .gaussian_ppt import (
@@ -9,9 +15,11 @@ from .gaussian_ppt import (
     ppt_closed_form,
     ppt_numeric,
 )
-from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum, radial_position
+# Imported eagerly, not through __getattr__: importing the submodule
+# hydrolens.linear_entropy would otherwise bind the module to this name.
 from .linear_entropy import LinearEntropyResult, linear_entropy
 from .moments import relative_moments
+from .states import QuantumNumbers, SystemParams
 
 __all__ = [
     "DetectionMap",
@@ -33,3 +41,10 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name: str):
+    if name in ("radial_momentum", "radial_position"):
+        from . import hydrogenic
+        return getattr(hydrogenic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

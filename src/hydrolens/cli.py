@@ -2,6 +2,10 @@
 
 Exit codes are a contract: 0 ok/detected, 2 usage error, 3 PPT test not
 detected, 4 I/O error, 5 verification failure.
+
+Importing this module loads no numpy, so ppt, schmidt and --version run
+without it.  map and linent load it inside the library calls they make, and
+verify when it imports its sweeps.
 """
 
 from __future__ import annotations
@@ -12,13 +16,11 @@ import math
 import sys
 from itertools import chain, repeat
 
+from . import __version__
 from .free_schmidt import schmidt_spread
-from .gaussian_ppt import DetectionMap, detection_map, ppt_closed_form, ppt_numeric
-from .hydrogenic import QuantumNumbers, SystemParams, radial_momentum, radial_position
+from .gaussian_ppt import DetectionMap, detection_map, ppt_closed_form
 from .linear_entropy import linear_entropy
-from .moments import relative_moments
-from .oracle import integrate_momentum, integrate_semi_infinite, integrate_theta
-from .specfun import spherical_harmonic_sq
+from .states import QuantumNumbers, SystemParams
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,77 +164,13 @@ def cmd_linent(parser, args) -> int:
     return EXIT_OK
 
 
-def _verify_checks(n_max: int):
-    """Yield (name, ok) pairs for the oracle-vs-closed-form sweeps."""
-    a0 = 1.0
-    states = [QuantumNumbers(n, l, m)
-              for n in range(1, n_max + 1)
-              for l in range(n)
-              for m in range(-l, l + 1)]
-    zero_m = [qn for qn in states if qn.m == 0]
-
-    ok = True
-    for qn in zero_m:
-        val, _ = integrate_momentum(
-            lambda k: k * k * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
-        ok &= abs(val - 1.0) <= 1e-13
-    yield "momentum normalization", ok
-
-    ok = True
-    k4 = {}
-    for qn in zero_m:
-        k4[qn.n, qn.l], _ = integrate_momentum(
-            lambda k: k ** 4 * radial_momentum(qn, a0, k) ** 2, qn.n, a0)
-        ok &= abs(qn.n ** 2 * a0 ** 2 * k4[qn.n, qn.l] - 1.0) <= 1e-13
-    yield "momentum second moment", ok
-
-    # Each variance against quadrature: <r^2> once per (n, l), <k^2> from the
-    # check above, and the angular factors f_perp and f_z once per (l, m).
-    ok = True
-    r4, ang = {}, {}
-    for qn in states:
-        n, l, m = qn.n, qn.l, qn.m
-        if (n, l) not in r4:
-            r4[n, l], _ = integrate_semi_infinite(
-                lambda r: r ** 4 * radial_position(qn, a0, r) ** 2, scale=n * n * a0)
-        if (l, m) not in ang:
-            ang[l, m] = (
-                math.pi * integrate_theta(
-                    lambda t: math.sin(t) ** 3 * spherical_harmonic_sq(l, m, t)),
-                2.0 * math.pi * integrate_theta(
-                    lambda t: math.sin(t) * math.cos(t) ** 2 * spherical_harmonic_sq(l, m, t)))
-        f_perp, f_z = ang[l, m]
-        quad = (r4[n, l] * f_perp, r4[n, l] * f_perp, r4[n, l] * f_z,
-                k4[n, l] * f_perp, k4[n, l] * f_perp, k4[n, l] * f_z)
-        ok &= all(abs(c - q) <= 1e-13 * q for c, q in zip(relative_moments(qn), quad))
-    yield "second moments", ok
-
-    ok = True
-    for qn in states:
-        for ratio in (0.5, 1.5, 2.0, *(10.0 ** k for k in range(-4, 5))):
-            numeric = ppt_numeric(qn, ratio).nu
-            closed = sorted(ppt_closed_form(qn, ratio).nu)
-            ok &= all(abs(a - b) <= 1e-13 * b for a, b in zip(numeric, closed))
-    yield "eigenvalue pipeline", ok
-
-    ok = True
-    rad = {}
-    for qn in states:
-        if (qn.n, qn.l) not in rad:
-            rad[qn.n, qn.l], _ = integrate_momentum(
-                lambda k: k * k * radial_momentum(qn, a0, k) ** 4, qn.n, a0)
-        ang = 2.0 * math.pi * integrate_theta(
-            lambda t: math.sin(t) * spherical_harmonic_sq(qn.l, qn.m, t) ** 2)
-        closed = linear_entropy(qn, a0).product
-        ok &= abs(rad[qn.n, qn.l] * ang - closed) <= 1e-12 * closed
-    yield "linear entropy", ok
-
-
 def cmd_verify(parser, args) -> int:
+    from .verify import verify_checks
+
     if args.n_max < 1:
         parser.error(f"--n-max must be >= 1, got {args.n_max}")
     failures = 0
-    for name, ok in _verify_checks(args.n_max):
+    for name, ok in verify_checks(args.n_max):
         print(f"{name}: {'pass' if ok else 'FAIL'}")
         failures += not ok
     return EXIT_OK if failures == 0 else EXIT_VERIFY
@@ -251,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hydrolens",
         description="Entanglement witnesses for hydrogen-like two-body systems.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("schmidt", help="Schmidt-spectrum spread of a free eigenstate")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .hydrogenic import QuantumNumbers, SystemParams
+from .states import QuantumNumbers, SystemParams
 
 CONVENTION_FACTOR = (2.0 * math.pi) ** -1.5
 

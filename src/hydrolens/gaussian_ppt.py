@@ -19,6 +19,10 @@ transposed spectrum from the invariants Delta and det sigma in exact integer
 arithmetic on one power-of-two scale, rounding each eigenvalue's quotient
 once.  It solves each distinct axis block once: y always repeats x, and z
 does too for isotropic states.
+
+numpy is imported only on the array paths, detection_map and an array ratio
+in _nu, so importing this module, a point verdict, ppt_numeric and the blind
+band load no numpy.
 """
 
 from __future__ import annotations
@@ -26,10 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .hydrogenic import QuantumNumbers
 from .moments import com_moments, relative_moments
+from .states import QuantumNumbers
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,18 @@ def _nu(qn: QuantumNumbers, a0_over_b):
     nu_1 = sqrt(<x^2> <P_X^2>), nu_2 = 4 sqrt(<X^2> <p_x^2>), and likewise for
     the y (degenerate with x) and z pairs, with all variances dimensionless.
     a0_over_b may be a float or a numpy array; each nu has its shape.  A
-    scalar ratio takes math.sqrt and gives Python floats, an array np.sqrt;
-    both are correctly rounded square roots of the same products, so each nu
-    has the same bits either way.
+    scalar ratio makes X2 a float (np.float64 is one) and takes math.sqrt,
+    giving Python floats; an array takes np.sqrt.  Both are correctly rounded
+    square roots of the same products, so each nu has the same bits either
+    way.
     """
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     X2, P2 = com_moments(a0_over_b)
-    sqrt = np.sqrt if isinstance(X2, np.ndarray) else math.sqrt
+    if isinstance(X2, float):
+        sqrt = math.sqrt
+    else:
+        import numpy as np
+        sqrt = np.sqrt
     return (sqrt(x2 * P2), 4.0 * sqrt(X2 * px2),
             sqrt(y2 * P2), 4.0 * sqrt(X2 * py2),
             sqrt(z2 * P2), 4.0 * sqrt(X2 * pz2))
@@ -166,6 +173,8 @@ def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
     descending or a single value.  Every value depends on a0 and b only
     through the ratio a0/b, and each cell equals ppt_closed_form there.
     """
+    import numpy as np
+
     if points < 2:
         raise ValueError(f"grid resolution must be >= 2, got {points}")
     bounds = np.array([*a0_range, *b_range], dtype=float)

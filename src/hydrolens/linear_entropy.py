@@ -7,6 +7,9 @@ from a Gauss-Chebyshev rule; each rule is exact for its polynomial integrand.
 Reported for completeness only: the linear entropy carries no operational
 meaning as an entanglement quantifier for these continuous states (it tends
 to 1 for every eigenstate as V -> infinity).
+
+The sums import numpy, hydrogenic and specfun when they run, so the package
+can import linear_entropy, the function, without loading numpy.
 """
 
 from __future__ import annotations
@@ -16,10 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .hydrogenic import QuantumNumbers, _check_positive, radial_momentum
-from .specfun import spherical_harmonic_sq
+from .states import QuantumNumbers, _check_positive
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ def angular_sum(l: int, m: int) -> float:
     positive, so nothing cancels.  oracle.angular_purity_exact gives the same
     integral as an exact Wigner-3j sum.
     """
+    import numpy as np
+
+    from .specfun import spherical_harmonic_sq
+
     theta, w = _legendre_rule(l)
     y2 = spherical_harmonic_sq(l, m, theta)
     return 2.0 * math.pi * float(np.dot(w, y2 * y2))
@@ -55,6 +59,8 @@ def angular_sum(l: int, m: int) -> float:
 def _legendre_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
     """The 2l+1 node Gauss-Legendre rule as (arccos of the nodes, weights),
     read-only, since the cache shares them between calls."""
+    import numpy as np
+
     x, w = np.polynomial.legendre.leggauss(2 * l + 1)
     theta = np.arccos(x)
     theta.flags.writeable = w.flags.writeable = False
@@ -75,6 +81,10 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     (radial_momentum's error, from n = 3128), and where c a0^3 is not finite
     or falls below the smallest normal float.
     """
+    import numpy as np
+
+    from .hydrogenic import radial_momentum
+
     if not (0 <= l < n):
         raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
     _check_positive("a0", a0)

@@ -9,6 +9,10 @@ First moments vanish identically by parity, and so do all mixed products
 covariance matrix is diagonal and the variances below determine it.  Each
 relative-coordinate variance is a rational (Bethe & Salpeter 1957):
 a radial moment <r^2> or <k^2> times an angular factor f_perp or f_z.
+
+The module loads no numpy: com_moments takes a numpy array as it takes a
+float, and imports numpy only to name the offending entry of a failed range
+check.
 """
 
 from __future__ import annotations
@@ -16,9 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
-from .hydrogenic import QuantumNumbers
+from .states import QuantumNumbers
 
 # The a0/b on which both centre-of-mass variances, and the nu built from them
 # for any n below 1e20, are normal floats.  NaN and +-inf fall outside it.
@@ -55,11 +57,12 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
     array; every entry must lie in [1e-100, 1e100].
 
     For a Python float or int the range check is two comparisons and an &
-    on plain bools, with no numpy; np.all runs only for numpy inputs, and
-    the error message is built only when the check fails."""
+    on plain bools; ok.all() runs only for numpy inputs, and numpy is
+    imported, to build the error message, only when the check fails."""
     lo, hi = _RATIO_RANGE
     ok = (a0_over_b >= lo) & (a0_over_b <= hi)
-    if not (ok is True or np.all(ok)):
+    if not (ok is True or (ok is not False and ok.all())):
+        import numpy as np
         ratio = np.asarray(a0_over_b)
         raise ValueError(f"a0/b ratio must lie in [{lo:g}, {hi:g}], "
                          f"got {ratio[~np.asarray(ok)].flat[0]}")

@@ -2,12 +2,12 @@
 
 Nothing in here is used by the production paths; closed forms elsewhere in
 the package are checked against these quadratures and exact sums in the test
-suite.  racah_3j, through angular_purity_exact, is the exact-rational oracle
-for linear_entropy.angular_sum.  The semi-infinite momentum integrals use the
-half-angle map n a0 k = tan(phi/2), which takes [0, inf) onto (0, pi) and
-turns the momentum moments k^(2j) F_nl^(2q) dk, 2j + 2 <= 8q, into
-trigonometric polynomials in phi, with no endpoint singularity for bisection
-to chase.
+suite and by verify.verify_checks.  racah_3j, through angular_purity_exact,
+is the exact-rational oracle for linear_entropy.angular_sum.  The
+semi-infinite momentum integrals use the half-angle map n a0 k = tan(phi/2),
+which takes [0, inf) onto (0, pi) and turns the momentum moments
+k^(2j) F_nl^(2q) dk, 2j + 2 <= 8q, into trigonometric polynomials in phi,
+with no endpoint singularity for bisection to chase.
 
 integrate calls its integrand once per bisection level, on the nodes of
 every panel still open, so integrands map a node array to an array; the
@@ -29,7 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .hydrogenic import QuantumNumbers, radial_position
+from .hydrogenic import radial_position
+from .states import QuantumNumbers, _check_positive
 
 _GL_ORDER = 21
 # Lower bound on the scale of the relative tolerance, for integrals that are 0.
@@ -176,7 +177,9 @@ def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int, a0: float,
     angle, reflected (theta = pi - phi), with a fixed 2n+1 node Chebyshev rule
     that is exact only at the degree it assumes; this oracle stays independent
     of it through the adaptive Gauss-Legendre error test, which assumes none.
+    a0 must be finite and positive.
     """
+    _check_positive("a0", a0)
     unit = 1.0 / (n * a0)
 
     def g(phi: np.ndarray) -> np.ndarray:
@@ -244,9 +247,10 @@ def bessel_transform_radial(qn: QuantumNumbers, a0: float, k: float) -> float:
     R_nl extends to about 2 n^2 a0 and decays like e^{-r/(n a0)} past it, so
     the transform is integrated chunk by chunk until, past 2 n^2 a0, a chunk
     is below 1e-15 of the running sum of |chunk|; chunk width follows the
-    oscillation period pi/k when k dominates the decay scale.  k must be
-    finite and >= 0.
+    oscillation period pi/k when k dominates the decay scale.  a0 must be
+    finite and positive, and k finite and >= 0.
     """
+    _check_positive("a0", a0)
     if not 0.0 <= k < math.inf:
         raise ValueError(f"wavevector must be finite and >= 0, got {k}")
     l = qn.l

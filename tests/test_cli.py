@@ -11,9 +11,11 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from hydrolens import cli
+import hydrolens
+from hydrolens import cli, verify
 from hydrolens.gaussian_ppt import detection_map, ppt_closed_form
 from hydrolens.hydrogenic import QuantumNumbers
+from hydrolens.linear_entropy import linear_entropy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 # sha256sum line of `hydrolens map --n 7 --l 3 --m 1 --points 256` as CSV.
@@ -43,6 +45,77 @@ def test_runs_with_scipy_blocked():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "['scipy']"
+
+
+# Point queries, one of them not detected (exit code 3), and --version.
+POINT_ARGVS = [
+    ["ppt", "--ratio", "1"],
+    ["ppt", "--ratio", "1.4832"],
+    ["ppt", "--n", "3", "--l", "2", "--m", "-1", "--ratio", "0.05"],
+    ["ppt", "--n", "5", "--l", "1", "--m", "1", "--a0", "1.5", "--b", "2"],
+    ["ppt", "--n", "12", "--l", "11", "--m", "11", "--ratio", "1e4"],
+    ["schmidt", "--n", "1", "--a0", "1"],
+    ["schmidt", "--n", "7", "--alpha", "2", "--mu", "0.5"],
+    ["--version"],
+]
+
+
+def _run_in_process(prelude, argvs):
+    """(exit code, stdout) of hydrolens.cli.main for each argv, all in one
+    fresh interpreter that first runs prelude, then whether numpy is loaded."""
+    code = "\n".join([
+        "import contextlib, io, json, sys",
+        prelude,
+        "import hydrolens.cli",
+        "results = []",
+        f"for argv in {argvs!r}:",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
+        "        try:",
+        "            status = hydrolens.cli.main(argv)",
+        "        except SystemExit as exc:",
+        "            status = exc.code",
+        "    results.append([status, out.getvalue()])",
+        "print(json.dumps([results, sys.modules.get('numpy') is not None]))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_point_queries_run_with_numpy_blocked():
+    # With sys.modules["numpy"] = None every numpy import raises, yet ppt,
+    # schmidt and --version print the same bytes with the same exit codes;
+    # run normally, they leave numpy unloaded.
+    blocked, _ = _run_in_process("sys.modules['numpy'] = None", POINT_ARGVS)
+    normal, numpy_loaded = _run_in_process("", POINT_ARGVS)
+    assert blocked == normal
+    assert [status for status, _ in normal] == [0, 3, 0, 0, 0, 0, 0, 0]
+    assert normal[-1][1] == f"hydrolens {hydrolens.__version__}\n"
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("prelude", [
+    "import hydrolens",
+    # Importing the submodule hydrolens.linear_entropy first must not leave
+    # the module where the package's function of that name belongs.
+    "import hydrolens.cli; hydrolens.cli.main(['linent', '--n', '2'])",
+])
+def test_public_names_in_either_import_order(prelude):
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    " + prelude,
+        "import hydrolens",
+        "for name in hydrolens.__all__:",
+        "    obj = getattr(hydrolens, name)",
+        "    assert getattr(sys.modules[obj.__module__], name) is obj, name",
+        "assert callable(hydrolens.linear_entropy)",
+        "print(repr(hydrolens.linear_entropy(hydrolens.QuantumNumbers(1, 0)).product))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"{linear_entropy(QuantumNumbers(1, 0)).product!r}\n"
 
 
 def test_schmidt_basic():
@@ -211,7 +284,7 @@ def test_verify_passes():
 def test_verify_second_moments_catch_a_perturbed_variance(monkeypatch):
     # The check compares against quadrature, so a 1e-10 relative error in one
     # variance of one state fails it.
-    exact = cli.relative_moments
+    exact = verify.relative_moments
 
     def perturbed(qn):
         x2, y2, z2, px2, py2, pz2 = exact(qn)
@@ -219,23 +292,23 @@ def test_verify_second_moments_catch_a_perturbed_variance(monkeypatch):
             pz2 *= 1 + 1e-10
         return x2, y2, z2, px2, py2, pz2
 
-    monkeypatch.setattr(cli, "relative_moments", perturbed)
-    assert dict(cli._verify_checks(2))["second moments"] is False
+    monkeypatch.setattr(verify, "relative_moments", perturbed)
+    assert dict(verify.verify_checks(2))["second moments"] is False
 
 
 def test_verify_momentum_normalization_catches_a_scaled_f_nl(monkeypatch):
     # F_nl off by 1e-10 relative puts the norm 2e-10 from 1, which the 1e-13
     # tolerance rejects.
-    exact = cli.radial_momentum
-    monkeypatch.setattr(cli, "radial_momentum",
+    exact = verify.radial_momentum
+    monkeypatch.setattr(verify, "radial_momentum",
                         lambda qn, a0, k: exact(qn, a0, k) * (1 + 1e-10))
-    assert dict(cli._verify_checks(2))["momentum normalization"] is False
+    assert dict(verify.verify_checks(2))["momentum normalization"] is False
 
 
 def test_verify_radial_integrals_converge_in_few_calls(monkeypatch):
     # verify maps r = n^2 a0 t/(1-t), so each of its 78 int r^4 R^2 dr with
     # n <= 12 converges within 7 integrand calls (11 under r = t/(1-t)).
-    exact = cli.integrate_semi_infinite
+    exact = verify.integrate_semi_infinite
     calls = []
 
     def counted(f, **kwargs):
@@ -247,8 +320,8 @@ def test_verify_radial_integrals_converge_in_few_calls(monkeypatch):
 
         return exact(g, **kwargs)
 
-    monkeypatch.setattr(cli, "integrate_semi_infinite", counted)
-    for name, ok in cli._verify_checks(12):
+    monkeypatch.setattr(verify, "integrate_semi_infinite", counted)
+    for name, ok in verify.verify_checks(12):
         assert ok, name
         if name == "second moments":
             break
@@ -256,7 +329,7 @@ def test_verify_radial_integrals_converge_in_few_calls(monkeypatch):
 
 
 def test_verify_injected_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_verify_checks", lambda n_max: iter([("injected", False)]))
+    monkeypatch.setattr(verify, "verify_checks", lambda n_max: iter([("injected", False)]))
     assert cli.main(["verify", "--n-max", "1"]) == 5
     assert "injected: FAIL" in capsys.readouterr().out
 

@@ -348,6 +348,14 @@ def test_bessel_transform_rejects_a_bad_wavevector():
             bessel_transform_radial(QuantumNumbers(1, 0, 0), 1.0, k)
 
 
+@pytest.mark.parametrize("a0", [0.0, -1.0, math.nan, math.inf])
+def test_bad_a0_is_a_value_error(a0):
+    with pytest.raises(ValueError, match="a0 must be finite and positive"):
+        bessel_transform_radial(QuantumNumbers(1, 0), a0, 1.0)
+    with pytest.raises(ValueError, match="a0 must be finite and positive"):
+        integrate_momentum(lambda k: k * k, 1, a0)
+
+
 def _mp_spherical_jn(l, x):
     x = mpmath.mpf(x)
     return mpmath.besselj(l + mpmath.mpf(0.5), x) * mpmath.sqrt(mpmath.pi / (2 * x))
