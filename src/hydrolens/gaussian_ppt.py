@@ -18,7 +18,9 @@ particle-basis block from the variances alone and takes the partially
 transposed spectrum from the invariants Delta and det sigma in exact integer
 arithmetic on one power-of-two scale, rounding each eigenvalue's quotient
 once.  It solves each distinct axis block once: y always repeats x, and z
-does too for isotropic states.
+does too for isotropic states.  The state's distinct axes are split into
+integer numerators and power-of-two scales once per state, cached like
+relative_moments, and the two centre-of-mass variances once per call.
 
 numpy is imported only on the array paths, detection_map and an array ratio
 in _nu, so importing this module, a point verdict, ppt_numeric and the blind
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .moments import com_moments, relative_moments
 from .states import QuantumNumbers
@@ -36,7 +39,11 @@ from .states import QuantumNumbers
 
 @dataclass(frozen=True)
 class PPTVerdict:
-    """Symplectic spectrum of the partial transpose and its classification."""
+    """Symplectic spectrum of the partial transpose and its classification.
+
+    ppt_closed_form gives nu in axis order (x_q, x_p, y_q, y_p, z_q, z_p),
+    the CLI's nu1 ... nu6; ppt_numeric gives the same six values ascending.
+    """
 
     qn: QuantumNumbers
     a0_over_b: float
@@ -80,40 +87,60 @@ def _two_mode_nu(a_q: int, a_p: int, c_q: int, c_p: int,
     return math.sqrt(det * den / (num << (4 * e))), math.sqrt(nu_plus2)
 
 
-def _particle_block(q2: float, p2: float, X2: float,
-                    P2: float) -> tuple[int, int, int, int, int]:
+def _split(v: float) -> tuple[int, int]:
+    """(m, k + 1) for the float v = m 2^-k: its numerator and the bit length
+    of its power-of-two denominator."""
+    num, den = v.as_integer_ratio()
+    return num, den.bit_length()
+
+
+def _particle_block(q: int, qb: int, p: int, pb: int, X: int, Xb: int, P: int,
+                    Pb: int) -> tuple[int, int, int, int, int]:
     """(a_q, a_p, c_q, c_p, e) of one axis in the particle basis, exactly:
     each of the first four is an integer times 2^-e.
 
     With x1,2 = X +- x/2 and p1,2 = P/2 +- p, in the factor-2 convention:
-    a = 2 Var(x1) and c = 2 Cov(x1, x2), and likewise for the momenta.  Every
-    float is m 2^-k; e is the largest k plus one bit, so that q2/2 and P2/2
-    are integers on the shared scale too.
+    a = 2 Var(x1) and c = 2 Cov(x1, x2), and likewise for the momenta.  The
+    variances q2, p2, X2 and P2 come split by _split, q2 = q 2^(1 - qb) and
+    likewise.  e is the largest bit length, one more than the largest
+    exponent, so that q2/2 and P2/2 are integers on the shared scale too.
     """
-    ratios = [v.as_integer_ratio() for v in (q2, p2, X2, P2)]
-    e = max(den.bit_length() for _, den in ratios)  # den = 2^k has k + 1 bits
-    q, p, X, P = (num << (e + 1 - den.bit_length()) for num, den in ratios)
-    return 2 * X + (q >> 1), (P >> 1) + 2 * p, 2 * X - (q >> 1), (P >> 1) - 2 * p, e
+    e = max(qb, pb, Xb, Pb)  # den = 2^k has k + 1 bits
+    X, q = X << (e + 2 - Xb), q << (e - qb)  # 2 X2 and q2/2
+    P, p = P << (e - Pb), p << (e + 2 - pb)  # P2/2 and 2 p2
+    return X + q, P + p, X - q, P - p, e
+
+
+@lru_cache(maxsize=None)
+def _split_axes(qn: QuantumNumbers) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(q, qb, p, pb, count) for each distinct axis (<q^2>, <p^2>) of
+    relative_moments(qn): both variances split by _split, and how many of the
+    three axes share them.  The key is the values, so no symmetry is assumed.
+    Cached per state."""
+    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    count = {}
+    for axis in ((x2, px2), (y2, py2), (z2, pz2)):
+        count[axis] = count.get(axis, 0) + 1
+    return tuple((*_split(q2), *_split(p2), k) for (q2, p2), k in count.items())
 
 
 def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
-    """The six eigenvalues as per-axis two-mode solves, in exact integer
-    arithmetic on one power-of-two scale per axis.
+    """The six eigenvalues, ascending, as per-axis two-mode solves in exact
+    integer arithmetic on one power-of-two scale per axis.
 
-    Each distinct axis (<q^2>, <p^2>) is solved once and its pair reused for
-    a repeated one; the key is the values, so no symmetry is assumed.  The
+    Each distinct axis (<q^2>, <p^2>) is solved once and its pair repeated
+    for the axes that share it; the state's axes are split once per state
+    (_split_axes) and the two centre-of-mass variances once per call.  The
     partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of the
     closed form beyond the twelve variances, so it is its oracle.
     """
-    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     X2, P2 = com_moments(a0_over_b)
-    solved = {}
+    X, Xb = _split(X2)
+    P, Pb = _split(P2)
     nu = []
-    for axis in ((x2, px2), (y2, py2), (z2, pz2)):
-        if axis not in solved:
-            a_q, a_p, c_q, c_p, e = _particle_block(*axis, X2, P2)
-            solved[axis] = _two_mode_nu(a_q, a_p, c_q, -c_p, e)
-        nu.extend(solved[axis])
+    for q, qb, p, pb, k in _split_axes(qn):
+        a_q, a_p, c_q, c_p, e = _particle_block(q, qb, p, pb, X, Xb, P, Pb)
+        nu.extend(_two_mode_nu(a_q, a_p, c_q, -c_p, e) * k)
     return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=tuple(sorted(nu)))
 
 

@@ -11,8 +11,8 @@ relative-coordinate variance is a rational (Bethe & Salpeter 1957):
 a radial moment <r^2> or <k^2> times an angular factor f_perp or f_z.
 
 The module loads no numpy: com_moments takes a numpy array as it takes a
-float, and imports numpy only to name the offending entry of a failed range
-check.
+float, and imports numpy only to name the offending entry of an array that
+fails the range check.
 """
 
 from __future__ import annotations
@@ -57,13 +57,16 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
     array; every entry must lie in [1e-100, 1e100].
 
     For a Python float or int the range check is two comparisons and an &
-    on plain bools; ok.all() runs only for numpy inputs, and numpy is
-    imported, to build the error message, only when the check fails."""
+    on plain bools, and a rejected value names itself in the error message;
+    ok.all() runs only for numpy inputs, and numpy is imported, to find the
+    offending entry, only when such a check fails."""
     lo, hi = _RATIO_RANGE
     ok = (a0_over_b >= lo) & (a0_over_b <= hi)
     if not (ok is True or (ok is not False and ok.all())):
-        import numpy as np
-        ratio = np.asarray(a0_over_b)
-        raise ValueError(f"a0/b ratio must lie in [{lo:g}, {hi:g}], "
-                         f"got {ratio[~np.asarray(ok)].flat[0]}")
+        if ok is False:  # a Python float or int: it is the offending value
+            bad = a0_over_b
+        else:
+            import numpy as np
+            bad = np.asarray(a0_over_b)[~np.asarray(ok)].flat[0]
+        raise ValueError(f"a0/b ratio must lie in [{lo:g}, {hi:g}], got {bad}")
     return 0.5 / (a0_over_b * a0_over_b), 0.5 * a0_over_b * a0_over_b

@@ -13,6 +13,7 @@ import numpy as np
 
 from hydrolens.gaussian_ppt import (
     _particle_block,
+    _split,
     _two_mode_nu,
     blind_band_edges,
     ppt_closed_form,
@@ -157,7 +158,8 @@ def test_criterion_7_physicality():
             x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
             X2, P2 = com_moments(ratio)
             nu = np.array([v for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2))
-                           for v in _two_mode_nu(*_particle_block(q2, p2, X2, P2))])
+                           for v in _two_mode_nu(*_particle_block(
+                               *_split(q2), *_split(p2), *_split(X2), *_split(P2)))])
             ok &= bool(np.all(nu >= 1.0 - 1e-12))
             ok &= int(np.sum(np.abs(nu - 1.0) <= 1e-12)) >= 3
     report(7, "physicality of the untransposed state", ok)

@@ -48,6 +48,8 @@ def test_runs_with_scipy_blocked():
 
 
 # Point queries, one of them not detected (exit code 3), and --version.
+# A ratio outside [1e-100, 1e100]: a usage error, whose message must not need numpy.
+REJECTED_RATIO = ["ppt", "--ratio", "1e-200"]
 POINT_ARGVS = [
     ["ppt", "--ratio", "1"],
     ["ppt", "--ratio", "1.4832"],
@@ -56,26 +58,28 @@ POINT_ARGVS = [
     ["ppt", "--n", "12", "--l", "11", "--m", "11", "--ratio", "1e4"],
     ["schmidt", "--n", "1", "--a0", "1"],
     ["schmidt", "--n", "7", "--alpha", "2", "--mu", "0.5"],
+    REJECTED_RATIO,
     ["--version"],
 ]
 
 
 def _run_in_process(prelude, argvs):
-    """(exit code, stdout) of hydrolens.cli.main for each argv, all in one
-    fresh interpreter that first runs prelude, then whether numpy is loaded."""
+    """(exit code, stdout, stderr) of hydrolens.cli.main for each argv, all in
+    one fresh interpreter that first runs prelude, then whether numpy is
+    loaded."""
     code = "\n".join([
         "import contextlib, io, json, sys",
         prelude,
         "import hydrolens.cli",
         "results = []",
         f"for argv in {argvs!r}:",
-        "    out = io.StringIO()",
-        "    with contextlib.redirect_stdout(out):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
         "        try:",
         "            status = hydrolens.cli.main(argv)",
         "        except SystemExit as exc:",
         "            status = exc.code",
-        "    results.append([status, out.getvalue()])",
+        "    results.append([status, out.getvalue(), err.getvalue()])",
         "print(json.dumps([results, sys.modules.get('numpy') is not None]))",
     ])
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -85,13 +89,16 @@ def _run_in_process(prelude, argvs):
 
 def test_point_queries_run_with_numpy_blocked():
     # With sys.modules["numpy"] = None every numpy import raises, yet ppt,
-    # schmidt and --version print the same bytes with the same exit codes;
-    # run normally, they leave numpy unloaded.
+    # schmidt and --version print the same bytes with the same exit codes,
+    # and a rejected ratio the same usage error; run normally, they leave
+    # numpy unloaded.
     blocked, _ = _run_in_process("sys.modules['numpy'] = None", POINT_ARGVS)
     normal, numpy_loaded = _run_in_process("", POINT_ARGVS)
     assert blocked == normal
-    assert [status for status, _ in normal] == [0, 3, 0, 0, 0, 0, 0, 0]
+    assert [status for status, _, _ in normal] == [0, 3, 0, 0, 0, 0, 0, 2, 0]
     assert normal[-1][1] == f"hydrolens {hydrolens.__version__}\n"
+    assert normal[POINT_ARGVS.index(REJECTED_RATIO)][2].endswith(
+        "hydrolens ppt: error: a0/b ratio must lie in [1e-100, 1e+100], got 1e-200\n")
     assert not numpy_loaded
 
 

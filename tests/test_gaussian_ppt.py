@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydrolens.gaussian_ppt as gaussian_ppt
 from hydrolens.gaussian_ppt import (
     _particle_block,
+    _split,
     _two_mode_nu,
     blind_band_edges,
     detection_map,
@@ -104,6 +106,24 @@ def test_numeric_equals_fraction_reference_whole_ratio_range(qn, log_ratio):
     assert ppt_numeric(qn, ratio).nu == _fraction_numeric(qn, ratio)
 
 
+def test_numeric_solves_each_distinct_axis_once(monkeypatch):
+    # y always repeats x; z does too where f_perp = 1/3: l = 0, and l = 3 with
+    # m = +-2, the only such states with n <= 12.
+    calls = []
+
+    def counting_two_mode_nu(*block):
+        calls.append(block)
+        return _two_mode_nu(*block)
+
+    monkeypatch.setattr(gaussian_ppt, "_two_mode_nu", counting_two_mode_nu)
+    for qn in ALL_STATES_N12:
+        isotropic = qn.l == 0 or (qn.l == 3 and abs(qn.m) == 2)
+        for ratio in (1e-4, 1.0, 1e4):
+            calls.clear()
+            assert ppt_numeric(qn, ratio).nu == _fraction_numeric(qn, ratio), (qn, ratio)
+            assert len(calls) == (1 if isotropic else 2), (qn, ratio)
+
+
 def test_pipeline_at_rydberg_states_and_extreme_ratios():
     for qn in RYDBERG:
         for ratio in (1e-100, 1.0, 1e100):
@@ -118,7 +138,8 @@ def _untransposed_nu(qn, ratio):
     X2, P2 = com_moments(ratio)
     nu = []
     for q2, p2 in ((x2, px2), (y2, py2), (z2, pz2)):
-        nu.extend(_two_mode_nu(*_particle_block(q2, p2, X2, P2)))
+        nu.extend(_two_mode_nu(*_particle_block(
+            *_split(q2), *_split(p2), *_split(X2), *_split(P2))))
     return np.array(nu)
 
 
