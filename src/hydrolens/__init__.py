@@ -6,7 +6,7 @@ functions that work on arrays.  Those two are resolved on first access
 (PEP 562), which imports hydrogenic and numpy.
 """
 
-from .free_schmidt import SchmidtSpread, schmidt_spread, reduced_mass_comparison
+from .free_schmidt import SchmidtSpread, schmidt_spread
 from .gaussian_ppt import (
     DetectionMap,
     PPTVerdict,
@@ -35,7 +35,6 @@ __all__ = [
     "ppt_numeric",
     "radial_momentum",
     "radial_position",
-    "reduced_mass_comparison",
     "relative_moments",
     "schmidt_spread",
 ]

@@ -70,9 +70,7 @@ def _resolve_ratio(parser: argparse.ArgumentParser, args) -> float:
 
 
 def cmd_schmidt(parser, args) -> int:
-    if args.n < 1:
-        parser.error(f"principal quantum number must be >= 1, got n={args.n}")
-    qn = QuantumNumbers(n=args.n, l=0, m=0)
+    qn = _quantum_numbers(parser, args)
     params = _resolve_a0(parser, args)
     spread = schmidt_spread(qn, params)
     print(f"delta_k = {_human(spread.delta_k)}")
@@ -198,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_positive, help="coupling strength")
     p.add_argument("--mu", type=_positive, help="reduced mass")
     p.add_argument("--hbar", type=_positive, default=1.0)
-    p.set_defaults(func=cmd_schmidt)
+    # The spread depends on n only, so the state is taken at l = m = 0.
+    p.set_defaults(func=cmd_schmidt, l=0, m=0)
 
     p = sub.add_parser("ppt", help="PPT symplectic-eigenvalue test for the localized state")
     _add_qn_flags(p)

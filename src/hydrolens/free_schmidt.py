@@ -43,19 +43,3 @@ def schmidt_spread(qn: QuantumNumbers, params: SystemParams) -> SchmidtSpread:
     delta_k = CONVENTION_FACTOR / (qn.n * params.a0)
     return SchmidtSpread(qn=qn, delta_k=delta_k, delta_p=params.hbar * delta_k)
 
-
-def reduced_mass_comparison(m1: float, m2: float, alpha: float, n: int,
-                            hbar: float = 1.0) -> tuple[SchmidtSpread, SchmidtSpread]:
-    """Momentum spread with the exact reduced mass vs. the heavy-nucleus limit.
-
-    Returns (exact, heavy_limit) where the heavy limit replaces
-    mu = m1 m2 / (m1 + m2) by min(m1, m2).
-    """
-    if m1 <= 0 or m2 <= 0:
-        raise ValueError("masses must be positive")
-    qn = QuantumNumbers(n=n, l=0, m=0)
-    exact = schmidt_spread(
-        qn, SystemParams.from_coupling(alpha=alpha, mu=m1 * m2 / (m1 + m2), hbar=hbar))
-    heavy = schmidt_spread(
-        qn, SystemParams.from_coupling(alpha=alpha, mu=min(m1, m2), hbar=hbar))
-    return exact, heavy

@@ -2,7 +2,7 @@
 
 S_lin = 1 - (product / V) where product = I_ang * I_rad factorizes the
 momentum-space purity integral.  The angular factor I_ang = int |Y|^4 dOmega
-comes from a Gauss-Legendre rule and the radial factor I_rad = int k^2 F^4 dk
+comes from a Clenshaw-Curtis rule and the radial factor I_rad = int k^2 F^4 dk
 from a Gauss-Chebyshev rule; each rule is exact for its polynomial integrand.
 Reported for completeness only: the linear entropy carries no operational
 meaning as an entanglement quantifier for these continuous states (it tends
@@ -14,7 +14,6 @@ can import linear_entropy, the function, without loading numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -41,30 +40,29 @@ class LinearEntropyResult:
 def angular_sum(l: int, m: int) -> float:
     """I_ang = int |Y^m_l|^4 dOmega = 2 pi int_{-1}^{1} |Y^m_l|^4 dx, x = cos(theta).
 
-    |Y^m_l|^4 is a polynomial of degree 4l in x, so the N = 2l+1 node
-    Gauss-Legendre rule is exact up to rounding.  Its weights are all
-    positive, so nothing cancels.  oracle.angular_purity_exact gives the same
-    integral as an exact Wigner-3j sum.
+    |Y^m_l|^4 is an even polynomial of degree 4l in x, so the Clenshaw-Curtis
+    rule on the nodes x_k = cos(k pi/N), k = 0..N, N = 4l+2, is exact up to
+    rounding.  Its weights are all positive, so nothing cancels.  They come
+    from one inverse real FFT of the moments int T_2j dx = 2/(1-4j^2)
+    (Waldvogel, BIT Numer. Math. 46, 195 (2006)), with no eigensolve.  The
+    integrand is even, so only the nodes x_k >= 0 are evaluated, each
+    k < N/2 weighted for itself and its mirror N-k.
+    oracle.angular_purity_exact gives the same integral as an exact
+    Wigner-3j sum.
     """
     import numpy as np
 
     from .specfun import spherical_harmonic_sq
 
-    theta, w = _legendre_rule(l)
-    y2 = spherical_harmonic_sq(l, m, theta)
+    half = 2 * l + 1  # N/2
+    j = np.arange(half + 1)
+    # irfft gives (2/N) sum'' over the moments 2/(1-4j^2) times cos(2 pi j k/N)
+    # at k = 0..N/2: the weight of node k, or of the end pair k = 0, N.  Each
+    # 0 < k < N/2 is doubled for its mirror N-k.
+    w = np.fft.irfft(2.0 / (1.0 - 4.0 * j * j), 2 * half)[:half + 1]
+    w[1:half] *= 2.0
+    y2 = spherical_harmonic_sq(l, m, j * (math.pi / (2 * half)))
     return 2.0 * math.pi * float(np.dot(w, y2 * y2))
-
-
-@functools.lru_cache(maxsize=128)
-def _legendre_rule(l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 2l+1 node Gauss-Legendre rule as (arccos of the nodes, weights),
-    read-only, since the cache shares them between calls."""
-    import numpy as np
-
-    x, w = np.polynomial.legendre.leggauss(2 * l + 1)
-    theta = np.arccos(x)
-    theta.flags.writeable = w.flags.writeable = False
-    return theta, w
 
 
 def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
@@ -103,8 +101,6 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
 
 def linear_entropy(qn: QuantumNumbers, a0: float = 1.0) -> LinearEntropyResult:
     """Angular and radial purity integrals and their product for (n, l, m)."""
-    # The radial sum first: it raises for Rydberg states past F_nl's range,
-    # before the angular rule, which takes seconds to build at l ~ 1000.
     i_rad = radial_sum(qn.n, qn.l, a0)
     i_ang = angular_sum(qn.l, qn.m)
     return LinearEntropyResult(qn=qn, i_ang=i_ang, i_rad=i_rad, product=i_ang * i_rad)

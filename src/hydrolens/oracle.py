@@ -146,8 +146,8 @@ def integrate(spec: QuadratureSpec) -> tuple[float, float]:
     return total, max(err, abs(total) * 1e-15)
 
 
-def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], rel_tol: float = 1e-12,
-                            scale: float = 1.0, **kwargs) -> tuple[float, float]:
+def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray],
+                            scale: float = 1.0) -> tuple[float, float]:
     """int_0^inf f via the tangent map t in (0, 1), x = scale t/(1-t), with
     Jacobian scale/(1-t)^2.  A scale near the integrand's extent (n^2 a0 for
     a hydrogenic radial moment) centres its mass in t, and verify's radial
@@ -161,11 +161,11 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray], rel_tol: floa
         x = scale * t / (1.0 - t)
         return scale * f(x) / (1.0 - t) ** 2
 
-    return integrate(QuadratureSpec(g, 0.0, 1.0, rel_tol=rel_tol, **kwargs))
+    return integrate(QuadratureSpec(g, 0.0, 1.0))
 
 
-def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int, a0: float,
-                       rel_tol: float = 1e-12, **kwargs) -> tuple[float, float]:
+def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int,
+                       a0: float) -> tuple[float, float]:
     """int_0^inf f(k) dk through the half-angle map s = n a0 k = tan(phi/2),
     phi in (0, pi), dk = (1 + s^2)/(2 n a0) dphi.  f maps an array to an
     array, as a QuadratureSpec integrand does.
@@ -186,17 +186,17 @@ def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int, a0: float,
         s = np.tan(0.5 * phi)
         return f(s * unit) * (0.5 * unit * (1.0 + s * s))
 
-    return integrate(QuadratureSpec(g, 0.0, math.pi, rel_tol=rel_tol, **kwargs))
+    return integrate(QuadratureSpec(g, 0.0, math.pi))
 
 
-def integrate_theta(g: Callable[[float], float], rel_tol: float = 1e-12) -> float:
+def integrate_theta(g: Callable[[float], float]) -> float:
     """int_0^pi g(theta) dtheta.  g is called once per node with a Python
     float, so it may be written with the math module."""
 
     def per_node(t: np.ndarray) -> np.ndarray:
         return np.array([g(ti) for ti in t.tolist()])
 
-    val, _ = integrate(QuadratureSpec(per_node, 0.0, math.pi, rel_tol=rel_tol))
+    val, _ = integrate(QuadratureSpec(per_node, 0.0, math.pi))
     return val
 
 

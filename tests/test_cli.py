@@ -374,6 +374,7 @@ def test_main_reuses_one_parser(capsys):
     # Usage errors raised by the handlers, not by argparse.
     ["ppt", "--n", "2", "--l", "5"],
     ["schmidt", "--n", "1"],
+    ["schmidt", "--n", "0", "--a0", "1"],
 ])
 def test_non_finite_input_is_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,6 @@
 import math
 
-import pytest
-
-from hydrolens.free_schmidt import (
-    CONVENTION_FACTOR,
-    reduced_mass_comparison,
-    schmidt_spread,
-)
+from hydrolens.free_schmidt import CONVENTION_FACTOR, schmidt_spread
 from hydrolens.hydrogenic import QuantumNumbers, SystemParams
 
 
@@ -50,12 +44,3 @@ def test_always_entangled():
     for n in (1, 5, 10):
         assert schmidt_spread(QuantumNumbers(n, 0, 0), SystemParams(a0=1.0)).entangled
 
-
-def test_reduced_mass_comparison():
-    exact, heavy = reduced_mass_comparison(m1=1.0, m2=1836.0, alpha=1.0, n=1)
-    # Exact reduced mass is slightly below the light mass, so its a0 is
-    # slightly larger and the spread slightly smaller.
-    assert exact.delta_p < heavy.delta_p
-    assert math.isclose(exact.delta_p / heavy.delta_p, 1836.0 / 1837.0, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        reduced_mass_comparison(m1=-1.0, m2=1.0, alpha=1.0, n=1)

@@ -2,12 +2,12 @@ import math
 import warnings
 from fractions import Fraction
 
-import numpy as np
+import mpmath
 import pytest
 
 from hydrolens.hydrogenic import QuantumNumbers, radial_momentum
-from hydrolens.linear_entropy import _legendre_rule, angular_sum, linear_entropy, radial_sum
-from hydrolens.oracle import integrate_momentum, integrate_theta
+from hydrolens.linear_entropy import angular_sum, linear_entropy, radial_sum
+from hydrolens.oracle import angular_purity_exact, integrate_momentum, integrate_theta
 from hydrolens.specfun import spherical_harmonic_sq
 
 
@@ -61,28 +61,49 @@ def test_angular_sum_even_in_m():
             assert angular_sum(l, m) == angular_sum(l, -m)
 
 
-def test_angular_sum_reuses_one_rule_per_l():
-    # The cached rule gives the bits of a rule computed afresh on every call.
-    for l in range(13):
-        x, w = np.polynomial.legendre.leggauss(2 * l + 1)
-        for m in range(-l, l + 1):
-            y2 = spherical_harmonic_sq(l, m, np.arccos(x))
-            assert angular_sum(l, m) == 2.0 * math.pi * float(np.dot(w, y2 * y2)), (l, m)
-    theta, w = _legendre_rule(5)
-    assert _legendre_rule(5)[0] is theta
-    assert not theta.flags.writeable and not w.flags.writeable
+def _mp_angular_sum_m0(l: int) -> mpmath.mpf:
+    """int |Y^0_l|^4 dOmega to 40 digits: angular_purity_exact's 3-j sum at
+    m = 0, each (l l L; 0 0 0)^2 from its log-gamma closed form, with L even
+    and g = l + L/2:
+
+        L!^2 (2l-L)! g!^2 / ((2l+L+1)! (L/2)!^4 (l-L/2)!^2).
+    """
+    with mpmath.workdps(40):
+        lg = mpmath.loggamma
+        total = mpmath.mpf(0)
+        for big in range(0, 2 * l + 1, 2):
+            half, g = big // 2, l + big // 2
+            log_sq = (2 * lg(big + 1) + lg(2 * l - big + 1) + 2 * lg(g + 1)
+                      - lg(2 * l + big + 2) - 4 * lg(half + 1) - 2 * lg(l - half + 1))
+            total += (2 * big + 1) * mpmath.exp(2 * log_sq)
+        return (2 * l + 1) ** 2 * total / (4 * mpmath.pi)
+
+
+def test_angular_sum_m0_against_mpmath():
+    # The exact rational sum bounds l to 10; past it, 40 digits stand in for
+    # it.  The reference is first checked against that exact sum.
+    exact = angular_purity_exact(10, 0)
+    with mpmath.workdps(40):
+        want = mpmath.mpf(exact.numerator) / exact.denominator / (4 * mpmath.pi)
+        assert abs(_mp_angular_sum_m0(10) / want - 1) < 1e-35
+    for l in (100, 250, 500, 1000):
+        want = _mp_angular_sum_m0(l)
+        assert abs(angular_sum(l, 0) / want - 1) <= 1e-10, l
 
 
 def test_angular_sum_stretched_closed_form():
     # |Y^l_l|^2 = c sin^(2l), so int |Y^l_l|^4 dOmega has the exact form
     # (2l+1)^2 C(2l, l)^2 (2l)!^2 / (4 pi (4l+1)!).  l up to 199 runs past
-    # the float overflow of (l + |m|)! at 171.
-    for l in list(range(13)) + [40, 80, 149, 199]:
+    # the float overflow of (l + |m|)! at 171.  At l = 500 and 1000 the
+    # float values of |Y^l_l|^2 on the nodes leave about 3e-14; the rule's
+    # own weights contribute about 1e-16.
+    for l in list(range(13)) + [40, 80, 149, 199, 500, 1000]:
         exact = Fraction((2 * l + 1) ** 2 * math.comb(2 * l, l) ** 2 * math.factorial(2 * l) ** 2,
                          math.factorial(4 * l + 1))
+        tol = 1e-14 if l < 500 else 1e-13
         for m in (l, -l):
             assert math.isclose(angular_sum(l, m), float(exact) / (4 * math.pi),
-                                rel_tol=1e-13), (l, m)
+                                rel_tol=tol), (l, m)
 
 
 def test_radial_sum_matches_quadrature():

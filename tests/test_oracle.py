@@ -394,12 +394,12 @@ def test_racah_trivial_and_selection():
 
 
 def test_racah_agrees_with_library_path():
-    # The Gauss-Legendre angular purity against the exact rational 3-j sum,
+    # The Clenshaw-Curtis angular purity against the exact rational 3-j sum,
     # for every (l, m) with l <= 10 (l' = 2l reaches the oracle's bound 20).
     for l in range(0, 11):
         for m in range(-l, l + 1):
             exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
-            assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-13), (l, m)
+            assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-14), (l, m)
 
 
 def test_racah_nonzero_example_matches():
