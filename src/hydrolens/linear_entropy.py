@@ -48,8 +48,10 @@ def angular_sum(l: int, m: int) -> float:
     integrand is even, so only the nodes x_k >= 0 are evaluated, each
     k < N/2 weighted for itself and its mirror N-k.
     oracle.angular_purity_exact gives the same integral as an exact
-    Wigner-3j sum.
+    Wigner-3j sum.  Raises ValueError unless |m| <= l.
     """
+    if abs(m) > l:
+        raise ValueError(f"require |m| <= l, got l={l}, m={m}")
     import numpy as np
 
     from .specfun import spherical_harmonic_sq

@@ -12,7 +12,12 @@ with no endpoint singularity for bisection to chase.
 integrate calls its integrand once per bisection level, on the nodes of
 every panel still open, so integrands map a node array to an array; the
 radial functions of hydrogenic take arrays for this.  Only integrate_theta
-calls its integrand once per node, with a Python float.
+calls its integrand once per node, with a Python float.  The open panels
+themselves are Python lists of floats, since a level holds only a few:
+numpy builds each level's node array, makes the integrand call and weighs
+the values into panel sums, and everything else (midpoints, the node
+check, accept or split, the left-to-right sum) is float arithmetic with the
+same bits.
 
 bessel_transform_radial checks that F_nl is the Fourier transform of R_nl.
 Its j_l is _spherical_jn, an array recurrence (upward above x = l, Miller's
@@ -75,17 +80,27 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def _panels(f, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """The panel rule on each [a[i], b[i]], from one call of f on all their
+def _panels(f, lo: list[float], hi: list[float]) -> list[float] | None:
+    """The panel rule on each [lo[i], hi[i]], from one call of f on all their
     nodes; None if some panel is too narrow for its nodes to lie strictly
-    inside it, in which case f is not called."""
+    inside it, in which case f is not called.
+
+    The midpoints, half-widths and the check of the outer nodes are Python
+    float arithmetic, the same IEEE operations as numpy's elementwise ones.
+    numpy does the rest: it builds the node array, makes the one call of f
+    and forms each panel's h * sum(weights * values), so a panel's value has
+    the bits of the same rule worked wholly on arrays."""
     nodes, weights = _gl_rule()
-    h = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + h[:, None] * nodes
+    first, last = float(nodes[0]), float(nodes[-1])
+    h = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
     # The nodes ascend and rounding is monotone, so the outer two bound the rest.
-    if not ((x[:, 0] > a).all() and (x[:, -1] < b).all()):
-        return None
-    return h * np.sum(weights * np.reshape(f(x.ravel()), x.shape), axis=1)
+    for a, b, c, r in zip(lo, hi, mid, h):
+        if not (c + r * first > a and c + r * last < b):
+            return None
+    hs = np.array(h)
+    x = np.array(mid)[:, None] + hs[:, None] * nodes
+    return (hs * (weights * np.reshape(f(x.ravel()), x.shape)).sum(axis=1)).tolist()
 
 
 def _left_to_right(accepted: list) -> tuple[float, float]:
@@ -111,37 +126,47 @@ def integrate(spec: QuadratureSpec) -> tuple[float, float]:
     added from left to right, the order of a depth-first bisection.  Raises
     QuadratureError, carrying the best estimate so far, after more than
     max_subdivisions splits or at a panel too narrow to split further.
+
+    The open panels are Python lists of floats: a level is mostly one or a
+    few panels, on which each numpy call costs more than its arithmetic.
+    numpy works only inside _panels.  The sums that a QuadratureError
+    carries are taken with np.sum when it is raised, so they keep the bits
+    of numpy's pairwise summation.
     """
     f = spec.integrand
-    a, b = np.array([spec.a]), np.array([spec.b])
+    a, b = [float(spec.a)], [float(spec.b)]
     coarse = _panels(f, a, b)
     if coarse is None:
         raise QuadratureError("interval too narrow for the panel rule", best=0.0, error=math.inf)
-    scale = max(abs(float(coarse[0])), _ABS_FLOOR)
+    scale = max(abs(coarse[0]), _ABS_FLOOR)
+    tol = spec.rel_tol * scale
     accepted = []
-    splits, open_err = 0, 0.0
-    while a.size:
-        m = 0.5 * (a + b)
-        halves = _panels(f, np.concatenate((a, m)), np.concatenate((m, b)))
+    splits, open_deltas = 0, []
+    while a:
+        m = [0.5 * (x + y) for x, y in zip(a, b)]
+        halves = _panels(f, a + m, m + b)
         if halves is None:
             total, err = _left_to_right(accepted)
             raise QuadratureError(f"panel too narrow to split after {splits} subdivisions",
-                                  best=total + float(coarse.sum()), error=err + open_err)
-        left, right = halves[:a.size], halves[a.size:]
-        fine = left + right
-        delta = abs(fine - coarse)
-        done = delta <= spec.rel_tol * scale
-        accepted += zip(a[done].tolist(), fine[done].tolist(), delta[done].tolist())
-        split = ~done
-        splits += int(split.sum())
+                                  best=total + float(np.sum(coarse)),
+                                  error=err + float(np.sum(open_deltas)))
+        n = len(a)
+        left, right = halves[:n], halves[n:]
+        fine = [x + y for x, y in zip(left, right)]
+        delta = [abs(x - y) for x, y in zip(fine, coarse)]
+        accepted += [(a[i], fine[i], d) for i, d in enumerate(delta) if d <= tol]
+        split = [i for i, d in enumerate(delta) if not d <= tol]
+        splits += len(split)
+        open_deltas = [delta[i] for i in split]
         if splits > spec.max_subdivisions:
             total, err = _left_to_right(accepted)
             raise QuadratureError(
                 f"quadrature failed to converge after {spec.max_subdivisions} subdivisions",
-                best=total + float(fine[split].sum()), error=err + float(delta[split].sum()))
-        open_err = float(delta[split].sum())
-        a, b = np.concatenate((a[split], m[split])), np.concatenate((m[split], b[split]))
-        coarse = np.concatenate((left[split], right[split]))
+                best=total + float(np.sum([fine[i] for i in split])),
+                error=err + float(np.sum(open_deltas)))
+        mid = [m[i] for i in split]
+        a, b = [a[i] for i in split] + mid, mid + [b[i] for i in split]
+        coarse = [left[i] for i in split] + [right[i] for i in split]
     total, err = _left_to_right(accepted)
     return total, max(err, abs(total) * 1e-15)
 
@@ -317,7 +342,10 @@ def angular_purity_exact(l: int, m: int) -> Fraction:
         sum_{l'} (2l+1)^2 (2l'+1) 3j(l,l,l'; m,m,-2m)^2 3j(l,l,l'; 0,0,0)^2
 
     over l' = 0..2l, from racah_3j.  The oracle for linear_entropy.angular_sum.
+    Raises ValueError unless |m| <= l.
     """
+    if abs(m) > l:
+        raise ValueError(f"require |m| <= l, got l={l}, m={m}")
     total = Fraction(0)
     for lp in range(0, 2 * l + 1):
         w_m = racah_3j(l, l, lp, m, m, -2 * m).square

@@ -164,6 +164,13 @@ def test_s_lin_limits():
         res.s_lin(math.nan)
 
 
+def test_angular_sum_rejects_invalid_degree_and_order():
+    # Checked before any work: l = -1 would otherwise reach numpy's FFT.
+    for l, m in ((-1, 0), (1, 2), (2, -3)):
+        with pytest.raises(ValueError, match=f"l={l}, m={m}"):
+            angular_sum(l, m)
+
+
 def test_validation():
     with pytest.raises(ValueError):
         angular_sum(1, 2)

@@ -14,6 +14,8 @@ from hydrolens.linear_entropy import angular_sum
 from hydrolens.oracle import (
     QuadratureError,
     QuadratureSpec,
+    _gl_rule,
+    _panels,
     _spherical_jn,
     angular_purity_exact,
     bessel_transform_radial,
@@ -220,6 +222,29 @@ def test_subdivision_budget_matches_reference():
     assert exc_info.value.error > 0
 
 
+def test_panel_node_check_agrees_with_the_node_array():
+    # Panels 1-64 ulps wide, whose outer nodes round onto an end, and 150-220
+    # ulps wide, across the width at which they first lie strictly inside.
+    # The Python-float check must refuse a panel exactly when one of the 21
+    # nodes that numpy forms fails a < x < b, and then not call f.
+    nodes, _ = _gl_rule()
+    outcomes = set()
+    for x0 in (0.0, 0.5, 1.0 - 2.0 ** -20, math.pi):
+        ulp = math.ulp(x0)
+        for width in [*range(1, 65), *range(150, 221)]:
+            sides = [(x0, x0 + width * ulp)] + ([(x0 - width * ulp, x0)] if x0 else [])
+            for a, b in sides:
+                h = 0.5 * (np.array([b]) - np.array([a]))
+                x = (0.5 * (np.array([a]) + np.array([b])))[:, None] + h[:, None] * nodes
+                inside = bool(((a < x) & (x < b)).all())
+                calls = []
+                got = _panels(lambda t: calls.append(t) or np.ones_like(t), [a, 0.0], [b, 1.0])
+                assert (got is not None) == inside, (x0, width, a, b)
+                assert len(calls) == inside
+                outcomes.add(inside)
+    assert outcomes == {True, False}
+
+
 def test_too_narrow_panel_raises_with_best_estimate():
     # (1 + r)^(-3/2) dr behaves as (1 - t)^(-1/2) at t = 1 under the tangent
     # map.  Bisection reaches panels whose nodes round onto the endpoint; the
@@ -400,6 +425,12 @@ def test_racah_agrees_with_library_path():
         for m in range(-l, l + 1):
             exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
             assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-14), (l, m)
+
+
+def test_angular_purity_exact_rejects_invalid_degree_and_order():
+    for l, m in ((-1, 0), (1, 2), (2, -3)):
+        with pytest.raises(ValueError, match=f"l={l}, m={m}"):
+            angular_purity_exact(l, m)
 
 
 def test_racah_nonzero_example_matches():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hydrolens.specfun import spherical_harmonic_sq
+from hydrolens.specfun import _sectoral_seed, spherical_harmonic_sq
 
 # Degrees for the large-l checks: every l <= 12 and spot degrees past the
 # l + |m| = 171 at which (l + |m|)! overflows a float.
@@ -53,3 +53,34 @@ def test_spherical_harmonic_sq_unsold_identity():
     scalars = [[spherical_harmonic_sq(7, -3, t) for t in row] for row in grid.tolist()]
     np.testing.assert_allclose(values, scalars, rtol=1e-14)
 
+
+
+def _inline_seed_recurrence(l, m, theta):
+    """spherical_harmonic_sq with its seed product formed on every call."""
+    m = abs(m)
+    if np.ndim(theta) == 0:
+        x, s = math.cos(theta), math.sin(theta)
+    else:
+        x, s = np.cos(theta), np.sin(theta)
+    seed = (2 * m + 1) / (4.0 * math.pi) * math.prod(
+        (2 * i - 1) / (2 * i) for i in range(1, m + 1))
+    y, y_prev, a_prev = math.sqrt(seed) * s ** m, 0.0, 1.0
+    for k in range(m + 1, l + 1):
+        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
+        y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
+    return y * y
+
+
+def test_seed_cache_keeps_the_bits():
+    # The seed cached per |m| gives the bits of the product formed inline, on
+    # a float and on an array, and the cache holds one entry per |m|.
+    _sectoral_seed.cache_clear()
+    grid = np.array([0.0, 0.3, 1.1, math.pi / 2, 2.9])
+    for m in range(201):
+        for l in range(m, m + 41):
+            sign = -1 if l % 2 else 1
+            got = spherical_harmonic_sq(l, sign * m, 0.7)
+            assert got.hex() == _inline_seed_recurrence(l, m, 0.7).hex(), (l, m)
+            assert np.array_equal(spherical_harmonic_sq(l, sign * m, grid),
+                                  _inline_seed_recurrence(l, m, grid)), (l, m)
+    assert _sectoral_seed.cache_info().currsize <= 201
