@@ -2,14 +2,15 @@
 
 S_lin = 1 - (product / V) where product = I_ang * I_rad factorizes the
 momentum-space purity integral.  The angular factor I_ang = int |Y|^4 dOmega
-comes from a Clenshaw-Curtis rule and the radial factor I_rad = int k^2 F^4 dk
-from a Gauss-Chebyshev rule; each rule is exact for its polynomial integrand.
+is a sum of positive Wigner 3-j terms; the radial factor I_rad = int k^2 F^4
+dk comes from a Gauss-Chebyshev rule, exact for its polynomial integrand.
 Reported for completeness only: the linear entropy carries no operational
 meaning as an entanglement quantifier for these continuous states (it tends
 to 1 for every eigenstate as V -> infinity).
 
-The sums import numpy, hydrogenic and specfun when they run, so the package
-can import linear_entropy, the function, without loading numpy.
+radial_sum imports numpy and hydrogenic when it runs, and angular_sum needs
+neither, so the package can import linear_entropy, the function, without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -38,33 +39,41 @@ class LinearEntropyResult:
 
 
 def angular_sum(l: int, m: int) -> float:
-    """I_ang = int |Y^m_l|^4 dOmega = 2 pi int_{-1}^{1} |Y^m_l|^4 dx, x = cos(theta).
+    """I_ang = int |Y^m_l|^4 dOmega, as the sum of positive 3-j terms
 
-    |Y^m_l|^4 is an even polynomial of degree 4l in x, so the Clenshaw-Curtis
-    rule on the nodes x_k = cos(k pi/N), k = 0..N, N = 4l+2, is exact up to
-    rounding.  Its weights are all positive, so nothing cancels.  They come
-    from one inverse real FFT of the moments int T_2j dx = 2/(1-4j^2)
-    (Waldvogel, BIT Numer. Math. 46, 195 (2006)), with no eigensolve.  The
-    integrand is even, so only the nodes x_k >= 0 are evaluated, each
-    k < N/2 weighted for itself and its mirror N-k.
-    oracle.angular_purity_exact gives the same integral as an exact
-    Wigner-3j sum.  Raises ValueError unless |m| <= l.
+        (2l+1)^2/(4 pi) sum_L (2L+1) w_m(L) w_0(L),  w_m(L) = (l l L; m m -2m)^2,
+
+    over even L = 2|m| .. 2l, the sum that oracle.angular_purity_exact takes
+    in exact rationals.  At j1 = j2 and m1 = m2 the middle coefficient of
+    the Schulten-Gordon recurrence in j3 vanishes (J. Math. Phys. 16, 1961
+    (1975)), which leaves the two-term ratio
+
+        w_m(L+2)/w_m(L) = ((2l+1)^2 - (L+1)^2)((L+1)^2 - 4m^2)
+                          / (((2l+1)^2 - (L+2)^2)((L+2)^2 - 4m^2)).
+
+    Each chain starts from 1 at L = 2|m| and is normalised by the sum rule
+    sum_L (2L+1) w_m(L) = 1.  Each ratio of exact ints is rounded once; no
+    factorial or |Y|^2 is formed.  Raises ValueError unless |m| <= l.
     """
     if abs(m) > l:
         raise ValueError(f"require |m| <= l, got l={l}, m={m}")
-    import numpy as np
+    top, m = (2 * l + 1) ** 2, abs(m)
 
-    from .specfun import spherical_harmonic_sq
+    def chain(m: int) -> list[float]:
+        """w_m(L)/w_m(2m) for L = 2m, 2m+2, .., 2l."""
+        w, mm = [1.0], 4 * m * m
+        for j in range(2 * m + 1, 2 * l, 2):  # j = L + 1
+            k = j + 1
+            w.append(w[-1] * ((top - j * j) * (j * j - mm) / ((top - k * k) * (k * k - mm))))
+        return w
 
-    half = 2 * l + 1  # N/2
-    j = np.arange(half + 1)
-    # irfft gives (2/N) sum'' over the moments 2/(1-4j^2) times cos(2 pi j k/N)
-    # at k = 0..N/2: the weight of node k, or of the end pair k = 0, N.  Each
-    # 0 < k < N/2 is doubled for its mirror N-k.
-    w = np.fft.irfft(2.0 / (1.0 - 4.0 * j * j), 2 * half)[:half + 1]
-    w[1:half] *= 2.0
-    y2 = spherical_harmonic_sq(l, m, j * (math.pi / (2 * half)))
-    return 2.0 * math.pi * float(np.dot(w, y2 * y2))
+    # fsum rounds each sum once, with the same bits on every Python version.
+    w_m, w_0 = chain(m), chain(0)
+    weights = range(4 * m + 1, 4 * l + 2, 4)  # 2L+1
+    cross = math.fsum(g * a * b for g, a, b in zip(weights, w_m, w_0[m:]))
+    norm_m = math.fsum(g * a for g, a in zip(weights, w_m))
+    norm_0 = math.fsum(g * b for g, b in zip(range(1, 4 * l + 2, 4), w_0))
+    return top * cross / (norm_m * norm_0) / (4.0 * math.pi)
 
 
 def radial_sum(n: int, l: int, a0: float = 1.0) -> float:

@@ -3,11 +3,13 @@
 Nothing in here is used by the production paths; closed forms elsewhere in
 the package are checked against these quadratures and exact sums in the test
 suite and by verify.verify_checks.  racah_3j, through angular_purity_exact,
-is the exact-rational oracle for linear_entropy.angular_sum.  The
-semi-infinite momentum integrals use the half-angle map n a0 k = tan(phi/2),
-which takes [0, inf) onto (0, pi) and turns the momentum moments
-k^(2j) F_nl^(2q) dk, 2j + 2 <= 8q, into trigonometric polynomials in phi,
-with no endpoint singularity for bisection to chase.
+is the exact-rational oracle for linear_entropy.angular_sum: both take the
+same 3-j sum, angular_sum by a float recurrence in l' and the oracle each
+term from the Racah formula.  The semi-infinite momentum integrals use the
+half-angle map n a0 k = tan(phi/2), which takes [0, inf) onto (0, pi) and
+turns the momentum moments k^(2j) F_nl^(2q) dk, 2j + 2 <= 8q, into
+trigonometric polynomials in phi, with no endpoint singularity for
+bisection to chase.
 
 integrate calls its integrand once per bisection level, on the nodes of
 every panel still open, so integrands map a node array to an array; the
@@ -83,7 +85,9 @@ def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
 def _panels(f, lo: list[float], hi: list[float]) -> list[float] | None:
     """The panel rule on each [lo[i], hi[i]], from one call of f on all their
     nodes; None if some panel is too narrow for its nodes to lie strictly
-    inside it, in which case f is not called.
+    inside it, in which case f is not called.  Raises QuadratureError naming
+    the first panel whose value is nan or infinite: splitting it would only
+    spend the subdivision budget.
 
     The midpoints, half-widths and the check of the outer nodes are Python
     float arithmetic, the same IEEE operations as numpy's elementwise ones.
@@ -100,7 +104,12 @@ def _panels(f, lo: list[float], hi: list[float]) -> list[float] | None:
             return None
     hs = np.array(h)
     x = np.array(mid)[:, None] + hs[:, None] * nodes
-    return (hs * (weights * np.reshape(f(x.ravel()), x.shape)).sum(axis=1)).tolist()
+    values = (hs * (weights * np.reshape(f(x.ravel()), x.shape)).sum(axis=1)).tolist()
+    for a, b, v in zip(lo, hi, values):
+        if not math.isfinite(v):
+            raise QuadratureError(f"integrand is not finite on [{a!r}, {b!r}]: panel value {v}",
+                                  best=v, error=math.inf)
+    return values
 
 
 def _left_to_right(accepted: list) -> tuple[float, float]:
@@ -125,7 +134,8 @@ def integrate(spec: QuadratureSpec) -> tuple[float, float]:
     Which panels are accepted does not depend on the batching, and they are
     added from left to right, the order of a depth-first bisection.  Raises
     QuadratureError, carrying the best estimate so far, after more than
-    max_subdivisions splits or at a panel too narrow to split further.
+    max_subdivisions splits or at a panel too narrow to split further, and
+    at the first level with a panel whose value is nan or infinite.
 
     The open panels are Python lists of floats: a level is mostly one or a
     few panels, on which each numpy call costs more than its arithmetic.
@@ -341,7 +351,8 @@ def angular_purity_exact(l: int, m: int) -> Fraction:
 
         sum_{l'} (2l+1)^2 (2l'+1) 3j(l,l,l'; m,m,-2m)^2 3j(l,l,l'; 0,0,0)^2
 
-    over l' = 0..2l, from racah_3j.  The oracle for linear_entropy.angular_sum.
+    over l' = 0..2l, each term from racah_3j.  The oracle for
+    linear_entropy.angular_sum, which builds the same terms by a recurrence.
     Raises ValueError unless |m| <= l.
     """
     if abs(m) > l:

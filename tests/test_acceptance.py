@@ -193,7 +193,7 @@ def test_criterion_9_wigner_3j_oracle_equivalence():
     for l in range(0, 11):
         for m in range(-l, l + 1):
             exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
-            ok &= abs(angular_sum(l, m) - exact) <= 1e-13 * exact
+            ok &= abs(angular_sum(l, m) - exact) <= 1e-15 * exact
     report(9, "Wigner 3-j oracle equivalence", ok)
 
 

@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
@@ -49,10 +52,12 @@ def test_product_scales_as_a0_cubed():
 
 
 def test_angular_sum_matches_quadrature():
-    for l in range(0, 4):
+    # The adaptive integral of |Y|^4 shares nothing with the 3-j sum that
+    # angular_sum and angular_purity_exact both take, so it checks the sum.
+    for l in range(0, 13):
         for m in range(-l, l + 1):
             assert math.isclose(angular_sum(l, m), _angular_quadrature(l, m),
-                                rel_tol=1e-10), (l, m)
+                                rel_tol=1e-12), (l, m)
 
 
 def test_angular_sum_even_in_m():
@@ -86,24 +91,54 @@ def test_angular_sum_m0_against_mpmath():
     with mpmath.workdps(40):
         want = mpmath.mpf(exact.numerator) / exact.denominator / (4 * mpmath.pi)
         assert abs(_mp_angular_sum_m0(10) / want - 1) < 1e-35
-    for l in (100, 250, 500, 1000):
+    for l in (100, 250, 500, 800, 1000):
         want = _mp_angular_sum_m0(l)
-        assert abs(angular_sum(l, 0) / want - 1) <= 1e-10, l
+        assert abs(angular_sum(l, 0) / want - 1) <= 1e-14, l
 
 
 def test_angular_sum_stretched_closed_form():
     # |Y^l_l|^2 = c sin^(2l), so int |Y^l_l|^4 dOmega has the exact form
     # (2l+1)^2 C(2l, l)^2 (2l)!^2 / (4 pi (4l+1)!).  l up to 199 runs past
-    # the float overflow of (l + |m|)! at 171.  At l = 500 and 1000 the
-    # float values of |Y^l_l|^2 on the nodes leave about 3e-14; the rule's
-    # own weights contribute about 1e-16.
-    for l in list(range(13)) + [40, 80, 149, 199, 500, 1000]:
+    # the float overflow of (l + |m|)! at 171, and l = 3126 is the largest
+    # that linent reaches.  There the sum has one term, and the error is the
+    # rounding of the w_0 chain's l steps.
+    for l in list(range(13)) + [40, 80, 149, 199, 500, 1000, 3126]:
         exact = Fraction((2 * l + 1) ** 2 * math.comb(2 * l, l) ** 2 * math.factorial(2 * l) ** 2,
                          math.factorial(4 * l + 1))
-        tol = 1e-14 if l < 500 else 1e-13
         for m in (l, -l):
             assert math.isclose(angular_sum(l, m), float(exact) / (4 * math.pi),
-                                rel_tol=tol), (l, m)
+                                rel_tol=1e-14), (l, m)
+
+
+def _angular_values_in_process(prelude):
+    """angular_sum(1000, 333) and spherical_harmonic_sq(7, 3, 0.7) as hex, from
+    a fresh interpreter that first runs prelude, then whether numpy.fft is
+    loaded after a whole linear_entropy call, if numpy can be imported."""
+    code = "\n".join([
+        "import json, sys",
+        prelude,
+        "from hydrolens.linear_entropy import angular_sum",
+        "from hydrolens.specfun import spherical_harmonic_sq",
+        "values = [angular_sum(1000, 333).hex(), spherical_harmonic_sq(7, 3, 0.7).hex()]",
+        "if sys.modules.get('numpy', 0) is not None:",
+        "    import hydrolens",
+        "    hydrolens.linear_entropy(hydrolens.QuantumNumbers(12, 11, 4))",
+        "print(json.dumps([values, 'numpy.fft' in sys.modules]))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def test_angular_factor_runs_with_numpy_blocked():
+    # With sys.modules["numpy"] = None every numpy import raises, yet the
+    # angular purity and |Y|^2 give the bits of a normal interpreter, in
+    # which a whole linear_entropy call leaves numpy.fft unloaded.
+    blocked, _ = _angular_values_in_process("sys.modules['numpy'] = None")
+    normal, fft_loaded = _angular_values_in_process("")
+    assert blocked == normal
+    assert normal == [angular_sum(1000, 333).hex(), spherical_harmonic_sq(7, 3, 0.7).hex()]
+    assert not fft_loaded
 
 
 def test_radial_sum_matches_quadrature():
@@ -165,7 +200,7 @@ def test_s_lin_limits():
 
 
 def test_angular_sum_rejects_invalid_degree_and_order():
-    # Checked before any work: l = -1 would otherwise reach numpy's FFT.
+    # Checked before any work.
     for l, m in ((-1, 0), (1, 2), (2, -3)):
         with pytest.raises(ValueError, match=f"l={l}, m={m}"):
             angular_sum(l, m)

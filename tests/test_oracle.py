@@ -169,6 +169,21 @@ def test_non_convergence_raises_with_best_estimate():
     assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-3)
 
 
+def test_non_finite_integrand_raises_at_once():
+    # A nan or infinite panel value is named at the level where it appears,
+    # not reported as non-convergence after the whole subdivision budget.
+    for bad in (math.nan, math.inf, -math.inf):
+        calls = []
+
+        def f(x, bad=bad):
+            calls.append(x.size)
+            return np.where(x > 0.5, bad, x)
+
+        with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 1\.0\]: panel value"):
+            integrate(QuadratureSpec(f, 0.0, 1.0))
+        assert len(calls) <= 2, bad
+
+
 def test_matches_depth_first_reference():
     # Same panels accepted, same left-to-right sum: only the integrand's own
     # rounding on arrays against floats may differ.
@@ -419,12 +434,13 @@ def test_racah_trivial_and_selection():
 
 
 def test_racah_agrees_with_library_path():
-    # The Clenshaw-Curtis angular purity against the exact rational 3-j sum,
-    # for every (l, m) with l <= 10 (l' = 2l reaches the oracle's bound 20).
+    # The float 3-j chain of the angular purity against the same sum with
+    # each term from the Racah formula in exact rationals, for every (l, m)
+    # with l <= 10 (l' = 2l reaches the oracle's bound 20).
     for l in range(0, 11):
         for m in range(-l, l + 1):
             exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
-            assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-14), (l, m)
+            assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-15), (l, m)
 
 
 def test_angular_purity_exact_rejects_invalid_degree_and_order():
