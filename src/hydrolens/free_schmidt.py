@@ -7,25 +7,25 @@ basis.  The spread of that spectrum depends on n only:
     delta_k = (2 pi)^{-3/2} / (n a0),    delta_p = hbar * delta_k.
 
 The (2 pi)^{-3/2} factor is a Fourier-normalisation choice; it is stored on
-the result so values can be reported with or without it.
+the result so values can be reported with or without it.  The result is a
+namedtuple, so importing this module loads no dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .states import QuantumNumbers, SystemParams
 
 CONVENTION_FACTOR = (2.0 * math.pi) ** -1.5
 
 
-@dataclass(frozen=True)
-class SchmidtSpread:
-    qn: QuantumNumbers
-    delta_k: float
-    delta_p: float
-    convention_factor: float = CONVENTION_FACTOR
+class SchmidtSpread(namedtuple("SchmidtSpread", "qn delta_k delta_p convention_factor",
+                               defaults=(CONVENTION_FACTOR,))):
+    """The spreads delta_k and delta_p of qn, with the factor folded into both."""
+
+    __slots__ = ()
 
     @property
     def entangled(self) -> bool:
@@ -41,5 +41,5 @@ class SchmidtSpread:
 def schmidt_spread(qn: QuantumNumbers, params: SystemParams) -> SchmidtSpread:
     """Standard deviation of the Schmidt spectrum, in wavevector and momentum."""
     delta_k = CONVENTION_FACTOR / (qn.n * params.a0)
-    return SchmidtSpread(qn=qn, delta_k=delta_k, delta_p=params.hbar * delta_k)
+    return SchmidtSpread(qn, delta_k, params.hbar * delta_k)
 

@@ -22,32 +22,31 @@ does too for isotropic states.  The state's distinct axes are split into
 integer numerators and power-of-two scales once per state, cached like
 relative_moments, and the two centre-of-mass variances once per call.
 
-numpy is imported only on the array paths, detection_map and an array ratio
-in _nu, so importing this module, a point verdict, ppt_numeric and the blind
-band load no numpy.
+A verdict is a namedtuple, (qn, a0_over_b, nu), built positionally in one
+tuple allocation.  numpy is imported only on the array paths,
+detection_map and an array ratio in _nu, so importing this module, a point
+verdict, ppt_numeric and the blind band load no numpy, and no dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .moments import com_moments, relative_moments
 from .states import QuantumNumbers
 
 
-@dataclass(frozen=True)
-class PPTVerdict:
-    """Symplectic spectrum of the partial transpose and its classification.
+class PPTVerdict(namedtuple("PPTVerdict", "qn a0_over_b nu")):
+    """Symplectic spectrum of the partial transpose and its classification:
+    the tuple (qn, a0_over_b, nu).
 
     ppt_closed_form gives nu in axis order (x_q, x_p, y_q, y_p, z_q, z_p),
     the CLI's nu1 ... nu6; ppt_numeric gives the same six values ascending.
     """
 
-    qn: QuantumNumbers
-    a0_over_b: float
-    nu: tuple[float, float, float, float, float, float]
+    __slots__ = ()
 
     @property
     def min_nu(self) -> float:
@@ -140,8 +139,9 @@ def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     nu = []
     for q, qb, p, pb, k in _split_axes(qn):
         a_q, a_p, c_q, c_p, e = _particle_block(q, qb, p, pb, X, Xb, P, Pb)
-        nu.extend(_two_mode_nu(a_q, a_p, c_q, -c_p, e) * k)
-    return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=tuple(sorted(nu)))
+        nu += _two_mode_nu(a_q, a_p, c_q, -c_p, e) * k
+    nu.sort()
+    return PPTVerdict(qn, a0_over_b, tuple(nu))
 
 
 def _nu(qn: QuantumNumbers, a0_over_b):
@@ -169,27 +169,21 @@ def _nu(qn: QuantumNumbers, a0_over_b):
 
 def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     """Closed-form symplectic eigenvalues of the partial transpose at one ratio."""
-    return PPTVerdict(qn=qn, a0_over_b=a0_over_b, nu=_nu(qn, a0_over_b))
+    return PPTVerdict(qn, a0_over_b, _nu(qn, a0_over_b))
 
 
-@dataclass(frozen=True, eq=False)
-class DetectionMap:
+class DetectionMap(namedtuple("DetectionMap", "a0 b nu1 nu2 nu5 nu6 min_nu detected")):
     """The detection map as columns over a points x points grid.
 
     a0 and b hold the grid values of each axis, a0 outer and b inner; every
     other field is a (points, points) array whose [i, j] entry belongs to the
     cell (a0[i], b[j]).  nu3 and nu4 are left out: they repeat nu1 and nu2
-    (x and y are degenerate).
+    (x and y are degenerate).  Two maps compare and hash by identity, as
+    objects do: a tuple of arrays has no truth value to compare by.
     """
 
-    a0: np.ndarray
-    b: np.ndarray
-    nu1: np.ndarray
-    nu2: np.ndarray
-    nu5: np.ndarray
-    nu6: np.ndarray
-    min_nu: np.ndarray
-    detected: np.ndarray
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],

@@ -10,24 +10,23 @@ to 1 for every eigenstate as V -> infinity).
 
 radial_sum imports numpy and hydrogenic when it runs, and angular_sum needs
 neither, so the package can import linear_entropy, the function, without
-loading numpy.
+loading numpy.  The result is a namedtuple, so importing this module loads
+no dataclasses either.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .states import QuantumNumbers, _check_positive
 
 
-@dataclass(frozen=True)
-class LinearEntropyResult:
-    qn: QuantumNumbers
-    i_ang: float          # dimensionless
-    i_rad: float          # units a0^3
-    product: float        # units a0^3
+class LinearEntropyResult(namedtuple("LinearEntropyResult", "qn i_ang i_rad product")):
+    """The state, I_ang (dimensionless), I_rad and their product (units a0^3)."""
+
+    __slots__ = ()
 
     def s_lin(self, volume: float | None = None) -> float:
         """1 - product/V; exactly 1 in the V -> infinity limit."""
@@ -114,4 +113,4 @@ def linear_entropy(qn: QuantumNumbers, a0: float = 1.0) -> LinearEntropyResult:
     """Angular and radial purity integrals and their product for (n, l, m)."""
     i_rad = radial_sum(qn.n, qn.l, a0)
     i_ang = angular_sum(qn.l, qn.m)
-    return LinearEntropyResult(qn=qn, i_ang=i_ang, i_rad=i_rad, product=i_ang * i_rad)
+    return LinearEntropyResult(qn, i_ang, i_rad, i_ang * i_rad)

@@ -8,16 +8,16 @@ First moments vanish identically by parity, and so do all mixed products
 (<x p_x> etc.), so in the relative and centre-of-mass coordinates the
 covariance matrix is diagonal and the variances below determine it.  Each
 relative-coordinate variance is a rational (Bethe & Salpeter 1957):
-a radial moment <r^2> or <k^2> times an angular factor f_perp or f_z.
+a radial moment <r^2> or <k^2> times an angular factor f_perp or f_z, and
+it is rounded once, as one int / int true division.
 
-The module loads no numpy: com_moments takes a numpy array as it takes a
-float, and imports numpy only to name the offending entry of an array that
-fails the range check.
+The module loads neither fractions nor numpy: com_moments takes a numpy
+array as it takes a float, and imports numpy only to name the offending
+entry of an array that fails the range check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .states import QuantumNumbers
@@ -36,17 +36,19 @@ def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, fl
         f_z = <cos^2 theta> = 1 - 2 f_perp,
 
     with <x^2> = <y^2> = <r^2> f_perp, <z^2> = <r^2> f_z and the momentum
-    variances likewise against <k^2>.  Each variance is formed as one exact
-    Fraction and rounded to float once, so it is correctly rounded.  Cached
-    per state.
+    variances likewise against <k^2>.  Each variance is one ratio of exact
+    ints, divided by int / int true division, which rounds the exact quotient
+    once: the correctly rounded float, as float(Fraction(...)) gives it.
+    Cached per state; a fresh but equal QuantumNumbers hits the same entry,
+    as it hashes and compares as a tuple.
     """
+    # By name, not by unpacking: a plain tuple is not a validated state.
     n, l, m = qn.n, qn.l, qn.m
-    r2 = Fraction(n * n * (5 * n * n + 1 - 3 * l * (l + 1)), 2)
-    k2 = Fraction(1, n * n)
-    f_perp = Fraction(l * l + l + m * m - 1, (2 * l - 1) * (2 * l + 3))
-    f_z = 1 - 2 * f_perp
-    x2, z2 = float(r2 * f_perp), float(r2 * f_z)
-    px2, pz2 = float(k2 * f_perp), float(k2 * f_z)
+    r2 = n * n * (5 * n * n + 1 - 3 * l * (l + 1))  # 2 <r^2>
+    fp, fd = l * l + l + m * m - 1, (2 * l - 1) * (2 * l + 3)  # f_perp = fp / fd
+    fz = fd - 2 * fp  # f_z = fz / fd
+    x2, z2 = r2 * fp / (2 * fd), r2 * fz / (2 * fd)
+    px2, pz2 = fp / (n * n * fd), fz / (n * n * fd)
     return (x2, x2, z2, px2, px2, pz2)
 
 

@@ -9,6 +9,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
+
+# A seed below the smallest normal float has lost bits, or all of them.
+_TINY = sys.float_info.min
+# The scaled recurrence divides y by 2^_RESCALE whenever |y| passes it, so
+# y * y stays finite.
+_RESCALE = 400
+_BIG, _SHRINK = 2.0 ** _RESCALE, 2.0 ** -_RESCALE
 
 
 @functools.cache
@@ -33,13 +41,52 @@ def spherical_harmonic_sq(l: int, m: int, theta: float) -> float:
     l.  The seed's O(m) product depends on m alone, so it is cached per m,
     one float each; the a_l are recomputed on every call, so a sweep to
     large l holds nothing per (l, m).
+
+    At large m the seed underflows inside the classically allowed region,
+    where |Y|^2 is of order one; there _sq_scaled runs the recurrence on a
+    scaled seed.  Everywhere else the path, and so every bit, is the plain
+    one: the only cost is one comparison of the seed.
     """
     if abs(m) > l:
         raise ValueError(f"require |m| <= l, got l={l}, m={m}")
     m = abs(m)
     x, s = math.cos(theta), math.sin(theta)
-    y, y_prev, a_prev = _sectoral_seed(m) * s ** m, 0.0, 1.0
+    y = _sectoral_seed(m) * s ** m
+    if y < _TINY and -_TINY < y:
+        return _sq_scaled(l, m, x, s)
+    y_prev, a_prev = 0.0, 1.0
     for k in range(m + 1, l + 1):
         a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
         y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
     return y * y
+
+
+def _scaled_seed(m: int, s: float) -> tuple[float, int]:
+    """(y, e) with y 2^e = _sectoral_seed(m) s^m up to a few roundings, and
+    0.5 <= |y| < 1 unless s = 0.  With s = f 2^k and
+    0.5 <= |f| < 1, s^m is f^m 2^(km), and f^m is taken in powers of at most
+    1000 factors, each at least 2^-1000, renormalised after each."""
+    f, k = math.frexp(s)
+    y, e = math.frexp(_sectoral_seed(m))
+    e += k * m
+    while m > 0:
+        j = min(m, 1000)
+        y, d = math.frexp(y * f ** j)
+        e, m = e + d, m - j
+    return y, e
+
+
+def _sq_scaled(l: int, m: int, x: float, s: float) -> float:
+    """spherical_harmonic_sq for a seed that underflows: the same recurrence
+    on y with Ybar = y 2^e, starting from _scaled_seed.  The recurrence is
+    linear, so dividing y and y_prev by 2^_RESCALE, which is exact, and
+    adding _RESCALE to e keeps the value; |Y|^2 is (y^2) 2^(2e), and rounds
+    to a subnormal or to 0 only where it is that small."""
+    y, e = _scaled_seed(m, s)
+    y_prev, a_prev = 0.0, 1.0
+    for k in range(m + 1, l + 1):
+        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
+        y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
+        if not -_BIG < y < _BIG:
+            y, y_prev, e = y * _SHRINK, y_prev * _SHRINK, e + _RESCALE
+    return math.ldexp(y * y, 2 * e)

@@ -1,6 +1,13 @@
 """The state and parameter types every layer shares: QuantumNumbers and
 SystemParams, with the positivity check they and the radial functions apply.
 
+Both are validated tuples: namedtuple subclasses whose __new__ checks and
+normalises the fields, so a value is immutable, hashes and compares in C,
+and costs one tuple allocation.  A QuantumNumbers unpacks as n, l, m and
+compares, orders and hashes equal to the plain tuple (n, l, m); assigning to
+a field raises AttributeError.  _replace and _make validate as the
+constructor does.
+
 Plain Python, no numpy, so that the point queries (ppt, schmidt) and
 importing the package never load numpy.
 """
@@ -9,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -17,35 +24,38 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+def _integer(name: str, value) -> int:
+    # bool is an Integral too, but True for n = 1 is a mistake, not a state.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"quantum numbers must be integers, got {name}={value!r}")
+    # Python ints, so exact arithmetic on them cannot wrap as numpy's can.
+    return int(value)
+
+
+class QuantumNumbers(namedtuple("QuantumNumbers", "n l m")):
     """Validated (n, l, m) triple indexing a hydrogenic bound state."""
 
-    n: int
-    l: int
-    m: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, n: int, l: int, m: int = 0):
         # The type test first: the isinstance test of an ABC costs microseconds,
         # several times the rest of the construction.
-        if not type(self.n) is type(self.l) is type(self.m) is int:
-            for name in ("n", "l", "m"):
-                value = getattr(self, name)
-                # bool is an Integral too, but True for n = 1 is a mistake, not a state.
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"quantum numbers must be integers, got {name}={value!r}")
-                # Python ints, so exact arithmetic on them cannot wrap as numpy's can.
-                object.__setattr__(self, name, int(value))
-        if self.n < 1:
-            raise ValueError(f"principal quantum number must be >= 1, got n={self.n}")
-        if not (0 <= self.l <= self.n - 1):
-            raise ValueError(f"require 0 <= l <= n-1, got n={self.n}, l={self.l}")
-        if abs(self.m) > self.l:
-            raise ValueError(f"require |m| <= l, got l={self.l}, m={self.m}")
+        if not type(n) is type(l) is type(m) is int:
+            n, l, m = _integer("n", n), _integer("l", l), _integer("m", m)
+        if n < 1:
+            raise ValueError(f"principal quantum number must be >= 1, got n={n}")
+        if not (0 <= l <= n - 1):
+            raise ValueError(f"require 0 <= l <= n-1, got n={n}, l={l}")
+        if abs(m) > l:
+            raise ValueError(f"require |m| <= l, got l={l}, m={m}")
+        return tuple.__new__(cls, (n, l, m))
+
+    @classmethod
+    def _make(cls, iterable) -> "QuantumNumbers":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(namedtuple("SystemParams", "a0 alpha mu hbar")):
     """Physical parameters: coupling alpha, reduced mass mu, hbar, and the
     derived reduced Bohr radius a0 = hbar^2 / (mu * alpha).
 
@@ -53,20 +63,29 @@ class SystemParams:
     case alpha and mu are optional metadata.
     """
 
-    a0: float
-    alpha: float | None = None
-    mu: float | None = None
-    hbar: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a0", "alpha", "mu", "hbar"):
-            value = getattr(self, name)
+    def __new__(cls, a0: float, alpha: float | None = None, mu: float | None = None,
+                hbar: float = 1.0):
+        for name, value in zip(cls._fields, (a0, alpha, mu, hbar)):
             if value is not None:
                 _check_positive(name, value)
+        return tuple.__new__(cls, (a0, alpha, mu, hbar))
+
+    @classmethod
+    def _make(cls, iterable) -> "SystemParams":
+        return cls(*iterable)
 
     @classmethod
     def from_coupling(cls, alpha: float, mu: float, hbar: float = 1.0) -> "SystemParams":
-        if alpha <= 0 or mu <= 0:
-            raise ValueError("alpha and mu must be positive")
+        """The parameters with a0 = hbar^2 / (mu alpha).  Raises ValueError
+        naming the input that is not finite and positive, or, where all are
+        but a0 over- or underflows, naming a0 with alpha, mu and hbar."""
+        for name, value in (("alpha", alpha), ("mu", mu), ("hbar", hbar)):
+            _check_positive(name, value)
         # Divided in turn: the product mu * alpha can underflow to zero.
-        return cls(a0=hbar * hbar / mu / alpha, alpha=alpha, mu=mu, hbar=hbar)
+        a0 = hbar * hbar / mu / alpha
+        if not 0 < a0 < math.inf:
+            raise ValueError(f"reduced Bohr radius a0 = hbar^2/(mu alpha) is out of float "
+                             f"range, got {a0} from alpha={alpha}, mu={mu}, hbar={hbar}")
+        return cls(a0, alpha, mu, hbar)

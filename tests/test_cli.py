@@ -102,6 +102,20 @@ def test_point_queries_run_with_numpy_blocked():
     assert not numpy_loaded
 
 
+def test_cli_import_budget():
+    # Importing the CLI loads neither numpy nor the modules that dataclasses
+    # and fractions bring in: the value types are tuples, and the moments
+    # divide exact ints.
+    code = "\n".join([
+        "import sys, hydrolens.cli",
+        "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect', 'fractions', 'decimal')"
+        " if m in sys.modules))",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("prelude", [
     "import hydrolens",
     # Importing the submodule hydrolens.linear_entropy first must not leave
@@ -146,6 +160,16 @@ def test_schmidt_from_coupling():
     derived = run_cli("schmidt", "--n", "1", "--alpha", "2", "--mu", "0.5")
     assert derived.returncode == 0
     assert derived.stdout == direct.stdout
+
+
+def test_schmidt_from_coupling_names_the_derived_a0():
+    # alpha and mu are valid, but a0 = hbar^2/(mu alpha) overflows: the
+    # usage error names a0 with both inputs, not an a0 the user never gave.
+    res = run_cli("schmidt", "--n", "1", "--alpha", "1e-200", "--mu", "1e-200")
+    assert res.returncode == 2
+    assert res.stderr.endswith(
+        "hydrolens schmidt: error: reduced Bohr radius a0 = hbar^2/(mu alpha) is out of float "
+        "range, got inf from alpha=1e-200, mu=1e-200, hbar=1.0\n")
 
 
 def test_schmidt_missing_n_is_usage_error():

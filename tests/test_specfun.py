@@ -70,3 +70,23 @@ def test_seed_cache_keeps_the_bits():
             got = spherical_harmonic_sq(l, sign * m, 0.7)
             assert got.hex() == _inline_seed_recurrence(l, m, 0.7).hex(), (l, m)
     assert _sectoral_seed.cache_info().currsize <= 201
+
+
+def test_normalisation_past_seed_underflow():
+    # At (l, m) = (3126, 1042) the seed sin^m(theta) underflows for every
+    # theta below 0.511, inside the classically allowed region that starts at
+    # arcsin(m/(l+1/2)) = 0.340.  The scaled seed keeps |Y|^2 there, so
+    # 2 pi int |Y|^2 sin(theta) dtheta is 1.  The trapezoid rule on 4000
+    # intervals, folded about pi/2 where the integrand is symmetric, takes it
+    # to rounding (2000 intervals are 7e-3 off, 8000 agree to 1e-14).
+    l, m, intervals = 3126, 1042, 4000
+    h = math.pi / intervals
+    half = math.fsum(spherical_harmonic_sq(l, m, j * h) * math.sin(j * h)
+                     for j in range(1, intervals // 2))
+    total = 2 * math.pi * h * (2 * half + spherical_harmonic_sq(l, m, math.pi / 2))
+    assert abs(total - 1.0) < 1e-6
+    # Inside the region the values are of order one, and equal for m and -m.
+    assert spherical_harmonic_sq(l, m, 0.35) > 0.2
+    assert spherical_harmonic_sq(l, -m, 0.35) == spherical_harmonic_sq(l, m, 0.35)
+    # At a pole every m != 0 harmonic vanishes.
+    assert spherical_harmonic_sq(l, m, 0.0) == 0.0
