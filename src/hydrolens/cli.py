@@ -51,6 +51,8 @@ def _quantum_numbers(parser: argparse.ArgumentParser, args) -> QuantumNumbers:
 def _resolve_a0(parser: argparse.ArgumentParser, args) -> SystemParams:
     try:
         if args.a0 is not None:
+            if args.alpha is not None or args.mu is not None:
+                parser.error("--a0 conflicts with --alpha/--mu")
             return SystemParams(a0=args.a0, hbar=args.hbar)
         if args.alpha is not None and args.mu is not None:
             return SystemParams.from_coupling(alpha=args.alpha, mu=args.mu, hbar=args.hbar)
@@ -85,8 +87,11 @@ def cmd_ppt(parser, args) -> int:
     ratio = _resolve_ratio(parser, args)
     try:
         verdict = ppt_closed_form(qn, ratio)
-    except ValueError as exc:  # a0/b overflowed or underflowed
+    except (ValueError, OverflowError) as exc:  # a0/b out of range, or huge n
         parser.error(str(exc))
+    if not all(map(math.isfinite, verdict.nu)):
+        parser.error(f"symplectic eigenvalues overflow a float at n={qn.n}, l={qn.l}, "
+                     f"m={qn.m}, a0/b={ratio:g}")
     for i, nu in enumerate(verdict.nu, start=1):
         print(f"nu{i} = {_human(nu)}")
     print(f"min_nu = {_human(verdict.min_nu)}")
@@ -132,7 +137,7 @@ def cmd_map(parser, args) -> int:
     try:
         grid = detection_map(qn, (args.a0_min, args.a0_max), (args.b_min, args.b_max),
                              args.points)
-    except ValueError as exc:  # too few points, or a0/b out of range
+    except (ValueError, OverflowError) as exc:  # too few points, a0/b out of range, huge n
         parser.error(str(exc))
     if args.output is None:
         _write_map(grid, args.format, sys.stdout)
@@ -150,13 +155,14 @@ def cmd_linent(parser, args) -> int:
     qn = _quantum_numbers(parser, args)
     try:
         res = linear_entropy(qn, args.a0)
-    except OverflowError as exc:  # Rydberg n beyond radial_momentum's range
+        s_lin = None if args.volume is None else res.s_lin(args.volume)
+    except (OverflowError, ValueError) as exc:  # Rydberg n too large, or V below the product
         parser.error(str(exc))
     print(f"I_ang = {_human(res.i_ang)}")
     print(f"I_rad = {_human(res.i_rad)}  (units a0^3)")
     print(f"product = {_human(res.product)}  (units a0^3)")
-    if args.volume is not None:
-        print(f"S_lin = {_human(res.s_lin(args.volume))}  (V = {_human(args.volume)})")
+    if s_lin is not None:
+        print(f"S_lin = {_human(s_lin)}  (V = {_human(args.volume)})")
     else:
         print("S_lin -> 1 (V -> infinity)")
     return EXIT_OK
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ppt", help="PPT symplectic-eigenvalue test for the localized state")
     _add_qn_flags(p)
-    p.add_argument("--ratio", type=_positive, help="a0/b (primary; overrides --a0/--b)")
+    p.add_argument("--ratio", type=_positive, help="a0/b (primary; conflicts with --a0/--b)")
     p.add_argument("--a0", type=_positive, help="reduced Bohr radius")
     p.add_argument("--b", type=_positive, help="wavepacket width")
     p.set_defaults(func=cmd_ppt)

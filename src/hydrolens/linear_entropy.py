@@ -29,11 +29,16 @@ class LinearEntropyResult(namedtuple("LinearEntropyResult", "qn i_ang i_rad prod
     __slots__ = ()
 
     def s_lin(self, volume: float | None = None) -> float:
-        """1 - product/V; exactly 1 in the V -> infinity limit."""
+        """1 - product/V; exactly 1 in the V -> infinity limit, 0 at
+        V = product.  The purity product/V cannot exceed 1, so a V below the
+        product raises ValueError naming both."""
         if volume is None or math.isinf(volume):
             return 1.0
         if not volume > 0:
             raise ValueError(f"volume must be positive, got {volume}")
+        if volume < self.product:
+            raise ValueError(f"volume V = {volume:g} is below the purity product "
+                             f"{self.product:g}: product/V would exceed 1")
         return 1.0 - self.product / volume
 
 

@@ -40,14 +40,19 @@ def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, fl
     ints, divided by int / int true division, which rounds the exact quotient
     once: the correctly rounded float, as float(Fraction(...)) gives it.
     Cached per state; a fresh but equal QuantumNumbers hits the same entry,
-    as it hashes and compares as a tuple.
+    as it hashes and compares as a tuple.  Where <x^2> or <z^2>, which reach
+    (5/6) n^4 at l = 0, leaves the float range (from n = 1.21e77 at l = 0),
+    raises OverflowError naming (n, l, m).
     """
     # By name, not by unpacking: a plain tuple is not a validated state.
     n, l, m = qn.n, qn.l, qn.m
     r2 = n * n * (5 * n * n + 1 - 3 * l * (l + 1))  # 2 <r^2>
     fp, fd = l * l + l + m * m - 1, (2 * l - 1) * (2 * l + 3)  # f_perp = fp / fd
     fz = fd - 2 * fp  # f_z = fz / fd
-    x2, z2 = r2 * fp / (2 * fd), r2 * fz / (2 * fd)
+    try:
+        x2, z2 = r2 * fp / (2 * fd), r2 * fz / (2 * fd)
+    except OverflowError:
+        raise OverflowError(f"second moments overflow a float at n={n}, l={l}, m={m}") from None
     px2, pz2 = fp / (n * n * fd), fz / (n * n * fd)
     return (x2, x2, z2, px2, px2, pz2)
 

@@ -11,9 +11,13 @@ turns the momentum moments k^(2j) F_nl^(2q) dk, 2j + 2 <= 8q, into
 trigonometric polynomials in phi, with no endpoint singularity for
 bisection to chase.
 
-integrate calls its integrand once per bisection level, on the nodes of
-every panel still open, so integrands map a node array to an array; the
-radial functions of hydrogenic take arrays for this.  Only integrate_theta
+integrate bisects panels of a fixed 21-point Gauss-Legendre rule, written
+out as constants (_GL_NODES, _GL_WEIGHTS) with the bits that
+np.polynomial.legendre.leggauss(21) returns: no process builds the rule, so
+the oracle loads no numpy.polynomial and calls nothing in numpy.linalg.  It
+calls its integrand once per bisection level, on the nodes of every panel
+still open, so integrands map a node array to an array; the radial
+functions of hydrogenic take arrays for this.  Only integrate_theta
 calls its integrand once per node, with a Python float.  The open panels
 themselves are Python lists of floats, since a level holds only a few:
 numpy builds each level's node array, makes the integrand call and weighs
@@ -28,7 +32,6 @@ downward below it), so the package needs nothing beyond numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +42,27 @@ import numpy as np
 from .hydrogenic import radial_position
 from .states import QuantumNumbers, _check_positive
 
-_GL_ORDER = 21
+# The panel rule: leggauss(21) under numpy 2.4.6, each value written as its
+# repr, so it round trips to the same bits.  The nodes ascend and are
+# antisymmetric about the middle one, 0.0; the weights are symmetric.
+_GL_NODES = np.array((
+    -0.9937521706203895, -0.9672268385663063, -0.9200993341504008,
+    -0.8533633645833173, -0.7684399634756779, -0.6671388041974123,
+    -0.5516188358872198, -0.4243421202074388, -0.2880213168024011,
+    -0.1455618541608951, 0.0, 0.1455618541608951,
+    0.2880213168024011, 0.4243421202074388, 0.5516188358872198,
+    0.6671388041974123, 0.7684399634756779, 0.8533633645833173,
+    0.9200993341504008, 0.9672268385663063, 0.9937521706203895,
+))
+_GL_WEIGHTS = np.array((
+    0.01601722825777436, 0.03695378977085188, 0.05713442542685717,
+    0.07610011362837911, 0.09344442345603395, 0.1087972991671484,
+    0.12183141605372864, 0.13226893863333763, 0.1398873947910734,
+    0.14452440398997027, 0.1460811336496907, 0.14452440398997027,
+    0.1398873947910734, 0.13226893863333763, 0.12183141605372864,
+    0.1087972991671484, 0.09344442345603395, 0.07610011362837911,
+    0.05713442542685717, 0.03695378977085188, 0.01601722825777436,
+))
 # Lower bound on the scale of the relative tolerance, for integrals that are 0.
 _ABS_FLOOR = 1e-300
 
@@ -75,27 +98,20 @@ class QuadratureSpec:
             raise ValueError("need at least one subdivision")
 
 
-@functools.cache
-def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the panel rule, computed on first use: importing
-    the package (every CLI call) then loads no numpy.polynomial."""
-    return np.polynomial.legendre.leggauss(_GL_ORDER)
-
-
 def _panels(f, lo: list[float], hi: list[float]) -> list[float] | None:
-    """The panel rule on each [lo[i], hi[i]], from one call of f on all their
-    nodes; None if some panel is too narrow for its nodes to lie strictly
-    inside it, in which case f is not called.  Raises QuadratureError naming
-    the first panel whose value is nan or infinite: splitting it would only
-    spend the subdivision budget.
+    """The 21-point Gauss-Legendre rule, _GL_NODES and _GL_WEIGHTS, on each
+    [lo[i], hi[i]], from one call of f on all their nodes; None if some
+    panel is too narrow for its nodes to lie strictly inside it, in which
+    case f is not called.  Raises QuadratureError naming the first panel
+    whose value is nan or infinite: splitting it would only spend the
+    subdivision budget.
 
     The midpoints, half-widths and the check of the outer nodes are Python
     float arithmetic, the same IEEE operations as numpy's elementwise ones.
     numpy does the rest: it builds the node array, makes the one call of f
     and forms each panel's h * sum(weights * values), so a panel's value has
     the bits of the same rule worked wholly on arrays."""
-    nodes, weights = _gl_rule()
-    first, last = float(nodes[0]), float(nodes[-1])
+    first, last = float(_GL_NODES[0]), float(_GL_NODES[-1])
     h = [0.5 * (b - a) for a, b in zip(lo, hi)]
     mid = [0.5 * (a + b) for a, b in zip(lo, hi)]
     # The nodes ascend and rounding is monotone, so the outer two bound the rest.
@@ -103,8 +119,8 @@ def _panels(f, lo: list[float], hi: list[float]) -> list[float] | None:
         if not (c + r * first > a and c + r * last < b):
             return None
     hs = np.array(h)
-    x = np.array(mid)[:, None] + hs[:, None] * nodes
-    values = (hs * (weights * np.reshape(f(x.ravel()), x.shape)).sum(axis=1)).tolist()
+    x = np.array(mid)[:, None] + hs[:, None] * _GL_NODES
+    values = (hs * (_GL_WEIGHTS * np.reshape(f(x.ravel()), x.shape)).sum(axis=1)).tolist()
     for a, b, v in zip(lo, hi, values):
         if not math.isfinite(v):
             raise QuadratureError(f"integrand is not finite on [{a!r}, {b!r}]: panel value {v}",

@@ -47,6 +47,28 @@ def test_runs_with_scipy_blocked():
     assert res.stdout.splitlines()[-1] == "['scipy']"
 
 
+def test_verify_builds_no_quadrature_rule():
+    # The oracle's Gauss-Legendre rule is a table of constants: verify loads
+    # no numpy.polynomial, and passes with every numpy.linalg function
+    # replaced by one that raises.
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import numpy.linalg as la",
+        "def refuse(*args, **kwargs):",
+        "    raise AssertionError('numpy.linalg called')",
+        "for name in la.__all__:",
+        "    if callable(getattr(la, name)) and not isinstance(getattr(la, name), type):",
+        "        setattr(la, name, refuse)",
+        "import hydrolens.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    status = hydrolens.cli.main(['verify', '--n-max', '2'])",
+        "print(status, 'numpy.polynomial' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "0 False\n"
+
+
 # Point queries, one of them not detected (exit code 3), and --version.
 # A ratio outside [1e-100, 1e100]: a usage error, whose message must not need numpy.
 REJECTED_RATIO = ["ppt", "--ratio", "1e-200"]
@@ -204,6 +226,53 @@ def test_ppt_a0_b_equivalent_to_ratio():
 def test_ppt_ratio_conflicts_with_a0():
     res = run_cli("ppt", "--ratio", "1", "--a0", "1", "--b", "1")
     assert res.returncode == 2
+
+
+def _usage_error(argv, capsys):
+    """The message of the usage error that cli.main(argv) exits with."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: hydrolens {argv[0]} ")
+    return captured.err.splitlines()[-1]
+
+
+def test_ppt_and_map_at_huge_n_are_usage_errors(capsys):
+    # Past n = 1.21e77 the second moments overflow a float.
+    n = str(10 ** 80)
+    for argv in (["ppt", "--n", n, "--ratio", "1"], ["map", "--n", n, "--points", "2"]):
+        assert _usage_error(argv, capsys) == (
+            f"hydrolens {argv[0]}: error: second moments overflow a float at n={n}, l=0, m=0")
+
+
+def test_ppt_refuses_a_non_finite_nu(capsys):
+    # <x^2> P_X^2 overflows at n = 1e70 and a0/b = 1e20: nu1 would print as inf.
+    n = str(10 ** 70)
+    assert _usage_error(["ppt", "--n", n, "--ratio", "1e20"], capsys) == (
+        f"hydrolens ppt: error: symplectic eigenvalues overflow a float at n={n}, l=0, m=0, "
+        "a0/b=1e+20")
+
+
+def test_schmidt_a0_conflicts_with_coupling(capsys):
+    # Beside --a0, --alpha and --mu would otherwise be ignored without a word.
+    for extra in (["--alpha", "2", "--mu", "2"], ["--alpha", "2"], ["--mu", "2"]):
+        assert _usage_error(["schmidt", "--n", "1", "--a0", "1", *extra], capsys) == (
+            "hydrolens schmidt: error: --a0 conflicts with --alpha/--mu")
+
+
+def test_ppt_ratio_help_names_the_conflict(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["ppt", "--help"])
+    assert "conflicts with --a0/--b" in capsys.readouterr().out
+
+
+def test_linent_volume_below_product_is_usage_error(capsys):
+    # product = 22.9284 here, so V = 1e-300 would give S_lin = -2.3e301.
+    assert _usage_error(["linent", "--n", "3", "--l", "1", "--volume", "1e-300"], capsys) == (
+        "hydrolens linent: error: volume V = 1e-300 is below the purity product 22.9284: "
+        "product/V would exceed 1")
 
 
 def test_ppt_invalid_quantum_numbers():
@@ -401,13 +470,7 @@ def test_main_reuses_one_parser(capsys):
     ["schmidt", "--n", "0", "--a0", "1"],
 ])
 def test_non_finite_input_is_usage_error(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith(f"usage: hydrolens {argv[0]} ")
-    assert "error" in captured.err
-    assert captured.out == ""
+    assert f"hydrolens {argv[0]}: error: " in _usage_error(argv, capsys)
 
 
 def test_linent_ground_state():

@@ -199,6 +199,18 @@ def test_s_lin_limits():
         res.s_lin(math.nan)
 
 
+def test_s_lin_rejects_a_volume_below_the_product():
+    # The purity product/V cannot exceed 1: V = product gives S_lin = 0, and
+    # a smaller V is refused with both numbers, not a negative entropy.
+    res = linear_entropy(QuantumNumbers(3, 1, 0))
+    assert res.s_lin(res.product) == 0.0
+    for volume in (1e-300, math.nextafter(res.product, 0.0)):
+        with pytest.raises(ValueError) as exc:
+            res.s_lin(volume)
+        assert str(exc.value) == (f"volume V = {volume:g} is below the purity product "
+                                  f"{res.product:g}: product/V would exceed 1")
+
+
 def test_angular_sum_rejects_invalid_degree_and_order():
     # Checked before any work.
     for l, m in ((-1, 0), (1, 2), (2, -3)):

@@ -97,3 +97,14 @@ def test_com_moments_scalar_types():
         with pytest.raises(ValueError, match=re.escape(f"got {shown}") + "$"):
             com_moments(bad)
 
+
+
+def test_relative_moments_overflow_names_the_state():
+    # <x^2> = (5/6) n^4 at l = 0 leaves the float range from n = 1.21e77; the
+    # int / int division's own OverflowError gives way to one naming the state.
+    relative_moments(QuantumNumbers(10 ** 77, 0, 0))
+    for qn in (QuantumNumbers(2 * 10 ** 77, 0, 0), QuantumNumbers(10 ** 80, 1, -1)):
+        with pytest.raises(OverflowError) as exc:
+            relative_moments(qn)
+        assert str(exc.value) == (
+            f"second moments overflow a float at n={qn.n}, l={qn.l}, m={qn.m}")

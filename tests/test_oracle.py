@@ -14,7 +14,8 @@ from hydrolens.linear_entropy import angular_sum
 from hydrolens.oracle import (
     QuadratureError,
     QuadratureSpec,
-    _gl_rule,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _panels,
     _spherical_jn,
     angular_purity_exact,
@@ -195,6 +196,19 @@ def test_matches_depth_first_reference():
         assert math.isclose(err, ref_err, rel_tol=1e-6, abs_tol=1e-15 * abs(val))
 
 
+def test_gl_rule_constants_are_leggauss_bit_for_bit():
+    # The oracle's rule is written out as literals; numpy.polynomial is
+    # imported here only, to check that they are leggauss(21)'s own bits.
+    nodes, weights = np.polynomial.legendre.leggauss(21)
+    for table, ref in ((_GL_NODES, nodes), (_GL_WEIGHTS, weights)):
+        assert table.dtype == np.float64 and table.shape == (21,)
+        assert table.tobytes() == ref.tobytes()
+    # Exactly antisymmetric nodes (+ 0.0 turns the negated middle -0.0 back
+    # into 0.0) and symmetric weights.
+    assert _GL_NODES.tobytes() == (-_GL_NODES[::-1] + 0.0).tobytes()
+    assert _GL_WEIGHTS.tobytes() == _GL_WEIGHTS[::-1].tobytes()
+
+
 def test_polynomial_bit_for_bit_with_reference():
     # Products and differences are the same IEEE operations on a float and an
     # array, so every panel, the splitting and the sum are the same bits.
@@ -242,7 +256,6 @@ def test_panel_node_check_agrees_with_the_node_array():
     # ulps wide, across the width at which they first lie strictly inside.
     # The Python-float check must refuse a panel exactly when one of the 21
     # nodes that numpy forms fails a < x < b, and then not call f.
-    nodes, _ = _gl_rule()
     outcomes = set()
     for x0 in (0.0, 0.5, 1.0 - 2.0 ** -20, math.pi):
         ulp = math.ulp(x0)
@@ -250,7 +263,7 @@ def test_panel_node_check_agrees_with_the_node_array():
             sides = [(x0, x0 + width * ulp)] + ([(x0 - width * ulp, x0)] if x0 else [])
             for a, b in sides:
                 h = 0.5 * (np.array([b]) - np.array([a]))
-                x = (0.5 * (np.array([a]) + np.array([b])))[:, None] + h[:, None] * nodes
+                x = (0.5 * (np.array([a]) + np.array([b])))[:, None] + h[:, None] * _GL_NODES
                 inside = bool(((a < x) & (x < b)).all())
                 calls = []
                 got = _panels(lambda t: calls.append(t) or np.ones_like(t), [a, 0.0], [b, 1.0])
