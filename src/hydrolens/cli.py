@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes are a contract: 0 ok/detected, 2 usage error, 3 PPT test not
-detected, 4 I/O error, 5 verification failure.
+detected, 4 I/O error, 5 verification failure.  The handlers take only the
+parsed arguments and let the library's ValueError and OverflowError
+propagate; main turns either into a usage error, exit 2, with the
+exception's message, through the subcommand's own parser.
 
 Importing this module loads no numpy, so ppt, schmidt and --version run
 without it.  map and linent load it inside the library calls they make, and
@@ -17,7 +20,7 @@ import sys
 from itertools import chain, repeat
 
 from . import __version__
-from .free_schmidt import schmidt_spread
+from .free_schmidt import CONVENTION_FACTOR, schmidt_spread
 from .gaussian_ppt import DetectionMap, detection_map, ppt_closed_form
 from .linear_entropy import linear_entropy
 from .states import QuantumNumbers, SystemParams
@@ -41,57 +44,37 @@ def _positive(text: str) -> float:
     return value
 
 
-def _quantum_numbers(parser: argparse.ArgumentParser, args) -> QuantumNumbers:
-    try:
-        return QuantumNumbers(n=args.n, l=args.l, m=args.m)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _resolve_a0(args) -> SystemParams:
+    if args.a0 is not None:
+        if args.alpha is not None or args.mu is not None:
+            raise ValueError("--a0 conflicts with --alpha/--mu")
+        return SystemParams(a0=args.a0, hbar=args.hbar)
+    if args.alpha is not None and args.mu is not None:
+        return SystemParams.from_coupling(alpha=args.alpha, mu=args.mu, hbar=args.hbar)
+    raise ValueError("supply --a0, or both --alpha and --mu")
 
 
-def _resolve_a0(parser: argparse.ArgumentParser, args) -> SystemParams:
-    try:
-        if args.a0 is not None:
-            if args.alpha is not None or args.mu is not None:
-                parser.error("--a0 conflicts with --alpha/--mu")
-            return SystemParams(a0=args.a0, hbar=args.hbar)
-        if args.alpha is not None and args.mu is not None:
-            return SystemParams.from_coupling(alpha=args.alpha, mu=args.mu, hbar=args.hbar)
-    except ValueError as exc:
-        parser.error(str(exc))
-    parser.error("supply --a0, or both --alpha and --mu")
-
-
-def _resolve_ratio(parser: argparse.ArgumentParser, args) -> float:
+def _resolve_ratio(args) -> float:
     if args.ratio is not None:
         if args.a0 is not None or args.b is not None:
-            parser.error("--ratio conflicts with --a0/--b")
+            raise ValueError("--ratio conflicts with --a0/--b")
         return args.ratio
     if args.a0 is not None and args.b is not None:
         return args.a0 / args.b
-    parser.error("supply --ratio, or both --a0 and --b")
+    raise ValueError("supply --ratio, or both --a0 and --b")
 
 
-def cmd_schmidt(parser, args) -> int:
-    qn = _quantum_numbers(parser, args)
-    params = _resolve_a0(parser, args)
-    spread = schmidt_spread(qn, params)
+def cmd_schmidt(args) -> int:
+    spread = schmidt_spread(QuantumNumbers(args.n, args.l, args.m), _resolve_a0(args))
     print(f"delta_k = {_human(spread.delta_k)}")
     print(f"delta_p = {_human(spread.delta_p)}")
-    print(f"convention_factor = {_human(spread.convention_factor)}")
+    print(f"convention_factor = {_human(CONVENTION_FACTOR)}")
     print("entangled (delta_k > 0)")
     return EXIT_OK
 
 
-def cmd_ppt(parser, args) -> int:
-    qn = _quantum_numbers(parser, args)
-    ratio = _resolve_ratio(parser, args)
-    try:
-        verdict = ppt_closed_form(qn, ratio)
-    except (ValueError, OverflowError) as exc:  # a0/b out of range, or huge n
-        parser.error(str(exc))
-    if not all(map(math.isfinite, verdict.nu)):
-        parser.error(f"symplectic eigenvalues overflow a float at n={qn.n}, l={qn.l}, "
-                     f"m={qn.m}, a0/b={ratio:g}")
+def cmd_ppt(args) -> int:
+    verdict = ppt_closed_form(QuantumNumbers(args.n, args.l, args.m), _resolve_ratio(args))
     for i, nu in enumerate(verdict.nu, start=1):
         print(f"nu{i} = {_human(nu)}")
     print(f"min_nu = {_human(verdict.min_nu)}")
@@ -132,13 +115,9 @@ def _write_map(grid: DetectionMap, fmt: str, stream) -> None:
         stream.write(block)
 
 
-def cmd_map(parser, args) -> int:
-    qn = _quantum_numbers(parser, args)
-    try:
-        grid = detection_map(qn, (args.a0_min, args.a0_max), (args.b_min, args.b_max),
-                             args.points)
-    except (ValueError, OverflowError) as exc:  # too few points, a0/b out of range, huge n
-        parser.error(str(exc))
+def cmd_map(args) -> int:
+    grid = detection_map(QuantumNumbers(args.n, args.l, args.m), (args.a0_min, args.a0_max),
+                         (args.b_min, args.b_max), args.points)
     if args.output is None:
         _write_map(grid, args.format, sys.stdout)
         return EXIT_OK
@@ -151,13 +130,9 @@ def cmd_map(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_linent(parser, args) -> int:
-    qn = _quantum_numbers(parser, args)
-    try:
-        res = linear_entropy(qn, args.a0)
-        s_lin = None if args.volume is None else res.s_lin(args.volume)
-    except (OverflowError, ValueError) as exc:  # Rydberg n too large, or V below the product
-        parser.error(str(exc))
+def cmd_linent(args) -> int:
+    res = linear_entropy(QuantumNumbers(args.n, args.l, args.m), args.a0)
+    s_lin = None if args.volume is None else res.s_lin(args.volume)
     print(f"I_ang = {_human(res.i_ang)}")
     print(f"I_rad = {_human(res.i_rad)}  (units a0^3)")
     print(f"product = {_human(res.product)}  (units a0^3)")
@@ -168,11 +143,11 @@ def cmd_linent(parser, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(parser, args) -> int:
+def cmd_verify(args) -> int:
     from .verify import verify_checks
 
     if args.n_max < 1:
-        parser.error(f"--n-max must be >= 1, got {args.n_max}")
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     failures = 0
     for name, ok in verify_checks(args.n_max):
         print(f"{name}: {'pass' if ok else 'FAIL'}")
@@ -233,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--volume", type=_positive, help="finite normalization volume")
     p.set_defaults(func=cmd_linent)
 
-    # Each handler reports usage errors through its own subcommand's parser.
+    # main reports a handler's usage error through its own subcommand's parser.
     for p in sub.choices.values():
         p.set_defaults(parser=p)
     return parser
@@ -241,7 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args.parser, args)
+    try:
+        return args.func(args)
+    except (ValueError, OverflowError) as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

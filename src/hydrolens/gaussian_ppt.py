@@ -13,13 +13,15 @@ verdict, the detection map (the whole grid as columns) and the blind band.
 The one closed form runs on Python floats (math.sqrt) for a float ratio and
 on numpy arrays (np.sqrt) for a grid; both square roots are correctly
 rounded, so a point verdict and the map cell at the same ratio agree bit for
-bit.  ppt_numeric is its independent oracle: it builds each axis's
-particle-basis block from the variances alone and takes the partially
-transposed spectrum from the invariants Delta and det sigma in exact integer
-arithmetic on one power-of-two scale, rounding each eigenvalue's quotient
-once.  It solves each distinct axis block once: y always repeats x, and z
-does too for isotropic states.  The state's distinct axes are split into
-integer numerators and power-of-two scales once per state, cached like
+bit.  Where a nu would overflow a float, both raise one OverflowError from
+_nu, naming the state and the ratio (a map's largest).  ppt_numeric is its
+independent oracle: it builds each axis's particle-basis block from the
+variances alone and takes the partially transposed spectrum from the
+invariants Delta and det sigma in exact integer arithmetic on one
+power-of-two scale, rounding each eigenvalue's quotient once.  It solves
+each distinct axis block once: y always repeats x, and z does too for
+isotropic states.  The state's distinct axes are split into integer
+numerators and power-of-two scales once per state, cached like
 relative_moments, and the two centre-of-mass variances once per call.
 
 A verdict is a namedtuple, (qn, a0_over_b, nu), built positionally in one
@@ -154,14 +156,23 @@ def _nu(qn: QuantumNumbers, a0_over_b):
     giving Python floats; an array takes np.sqrt.  Both are correctly rounded
     square roots of the same products, so each nu has the same bits either
     way.
+
+    Raises OverflowError naming the state and the ratio, for an array its
+    largest, where a nu would be inf.  <X^2> <p^2> is at most 5e199 on the
+    ratio range, so only <q^2> <P_X^2> can overflow, and P_X^2 grows with the
+    ratio: one product at the largest P2, taken in Python floats before
+    numpy multiplies, decides it, so numpy has no overflow to warn about.
     """
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     X2, P2 = com_moments(a0_over_b)
     if isinstance(X2, float):
-        sqrt = math.sqrt
+        sqrt, ratio, top = math.sqrt, a0_over_b, P2
     else:
         import numpy as np
-        sqrt = np.sqrt
+        sqrt, ratio, top = np.sqrt, a0_over_b.max(), float(P2.max())
+    if x2 * top == math.inf or z2 * top == math.inf:  # y repeats x
+        raise OverflowError(f"symplectic eigenvalues overflow a float at n={qn.n}, l={qn.l}, "
+                            f"m={qn.m}, a0/b={ratio:g}")
     return (sqrt(x2 * P2), 4.0 * sqrt(X2 * px2),
             sqrt(y2 * P2), 4.0 * sqrt(X2 * py2),
             sqrt(z2 * P2), 4.0 * sqrt(X2 * pz2))

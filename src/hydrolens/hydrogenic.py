@@ -16,9 +16,10 @@ naming (n, l); neither returns inf or nan.
 
 Internally everything is a pure function of (quantum numbers, a0); dimensionful
 parameters enter only through SystemParams at the API boundary.
-QuantumNumbers and SystemParams live in states, which loads no numpy, and are
-re-exported here.  This module imports numpy, so the package imports it only
-on first access to hydrolens.radial_position or hydrolens.radial_momentum.
+QuantumNumbers and SystemParams live in states, which loads no numpy;
+QuantumNumbers is re-exported here.  This module imports numpy, so the
+package imports it only on first access to hydrolens.radial_position or
+hydrolens.radial_momentum.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import math
 
 import numpy as np
 
-# SystemParams is imported only to be re-exported.
-from .states import QuantumNumbers, SystemParams, _check_positive
+from .states import QuantumNumbers, _check_positive
 
 
 def _radial_argument(a0: float, x, name: str) -> np.ndarray:

@@ -1,5 +1,8 @@
 """|Y^m_l|^2 at one float angle, by a three-term recurrence in degree.
 
+One loop serves every angle: it runs on a mantissa and a power-of-two
+exponent, which stays 0, and so changes no bit, unless the seed underflows.
+
 Only the oracle side calls it: verify, the tests and perfbench, through
 oracle.integrate_theta, one node at a time.  So it works in Python floats
 and loads no numpy.
@@ -13,8 +16,8 @@ import sys
 
 # A seed below the smallest normal float has lost bits, or all of them.
 _TINY = sys.float_info.min
-# The scaled recurrence divides y by 2^_RESCALE whenever |y| passes it, so
-# y * y stays finite.
+# While its exponent is not 0, the recurrence divides y by 2^_RESCALE
+# whenever |y| passes it, so y * y stays finite.
 _RESCALE = 400
 _BIG, _SHRINK = 2.0 ** _RESCALE, 2.0 ** -_RESCALE
 
@@ -43,22 +46,28 @@ def spherical_harmonic_sq(l: int, m: int, theta: float) -> float:
     large l holds nothing per (l, m).
 
     At large m the seed underflows inside the classically allowed region,
-    where |Y|^2 is of order one; there _sq_scaled runs the recurrence on a
-    scaled seed.  Everywhere else the path, and so every bit, is the plain
-    one: the only cost is one comparison of the seed.
+    where |Y|^2 is of order one.  So the recurrence runs on y with
+    Ybar = y 2^e: e = 0 and y the plain seed unless that seed is subnormal,
+    else (y, e) from _scaled_seed.  The recurrence is linear, so while e is
+    not 0, dividing y and y_prev by 2^_RESCALE, which is exact, and adding
+    _RESCALE to e keeps the value.  At e = 0 nothing is rescaled: y is Ybar
+    itself, below sqrt((2l+1)/(4 pi)).  |Y|^2 is (y^2) 2^(2e), exactly y^2 at
+    e = 0, and rounds to a subnormal or to 0 only where it is that small.
     """
     if abs(m) > l:
         raise ValueError(f"require |m| <= l, got l={l}, m={m}")
     m = abs(m)
     x, s = math.cos(theta), math.sin(theta)
-    y = _sectoral_seed(m) * s ** m
+    y, e = _sectoral_seed(m) * s ** m, 0
     if y < _TINY and -_TINY < y:
-        return _sq_scaled(l, m, x, s)
+        y, e = _scaled_seed(m, s)
     y_prev, a_prev = 0.0, 1.0
     for k in range(m + 1, l + 1):
         a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
         y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
-    return y * y
+        if e and not -_BIG < y < _BIG:
+            y, y_prev, e = y * _SHRINK, y_prev * _SHRINK, e + _RESCALE
+    return math.ldexp(y * y, 2 * e)
 
 
 def _scaled_seed(m: int, s: float) -> tuple[float, int]:
@@ -75,18 +84,3 @@ def _scaled_seed(m: int, s: float) -> tuple[float, int]:
         e, m = e + d, m - j
     return y, e
 
-
-def _sq_scaled(l: int, m: int, x: float, s: float) -> float:
-    """spherical_harmonic_sq for a seed that underflows: the same recurrence
-    on y with Ybar = y 2^e, starting from _scaled_seed.  The recurrence is
-    linear, so dividing y and y_prev by 2^_RESCALE, which is exact, and
-    adding _RESCALE to e keeps the value; |Y|^2 is (y^2) 2^(2e), and rounds
-    to a subnormal or to 0 only where it is that small."""
-    y, e = _scaled_seed(m, s)
-    y_prev, a_prev = 0.0, 1.0
-    for k in range(m + 1, l + 1):
-        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
-        y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
-        if not -_BIG < y < _BIG:
-            y, y_prev, e = y * _SHRINK, y_prev * _SHRINK, e + _RESCALE
-    return math.ldexp(y * y, 2 * e)

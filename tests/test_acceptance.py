@@ -19,7 +19,7 @@ from hydrolens.gaussian_ppt import (
     ppt_closed_form,
     ppt_numeric,
 )
-from hydrolens.hydrogenic import QuantumNumbers, SystemParams, radial_momentum
+from hydrolens.hydrogenic import QuantumNumbers, radial_momentum
 from hydrolens.free_schmidt import schmidt_spread
 from hydrolens.linear_entropy import angular_sum, linear_entropy
 from hydrolens.moments import com_moments, relative_moments
@@ -31,6 +31,7 @@ from hydrolens.oracle import (
 )
 from hydrolens.hydrogenic import radial_position
 from hydrolens.specfun import spherical_harmonic_sq
+from hydrolens.states import SystemParams
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 

@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,20 @@ def test_ppt_refuses_a_non_finite_nu(capsys):
         "a0/b=1e+20")
 
 
+def test_map_refuses_a_non_finite_nu(capsys):
+    # The point test_ppt_refuses_a_non_finite_nu refuses, as a map: no inf in
+    # the output and no numpy warning, but the same usage error.
+    n = str(10 ** 70)
+    argv = ["map", "--n", n, "--a0-min", "1e20", "--a0-max", "1e20", "--b-min", "1",
+            "--b-max", "1", "--points", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        message = _usage_error(argv, capsys)
+    assert message == (f"hydrolens map: error: symplectic eigenvalues overflow a float at "
+                       f"n={n}, l=0, m=0, a0/b=1e+20")
+    assert caught == []
+
+
 def test_schmidt_a0_conflicts_with_coupling(capsys):
     # Beside --a0, --alpha and --mu would otherwise be ignored without a word.
     for extra in (["--alpha", "2", "--mu", "2"], ["--alpha", "2"], ["--mu", "2"]):
@@ -434,9 +449,18 @@ def test_verify_injected_failure(monkeypatch, capsys):
     assert "injected: FAIL" in capsys.readouterr().out
 
 
+def test_verify_value_error_is_usage_error(monkeypatch, capsys):
+    # main, not each handler, turns a library ValueError into exit 2.
+    def broken(n_max):
+        raise ValueError("injected")
+        yield
+    monkeypatch.setattr(verify, "verify_checks", broken)
+    assert _usage_error(["verify"], capsys) == "hydrolens verify: error: injected"
+
+
 def test_main_reuses_one_parser(capsys):
     # One parser serves every call in a process, and each call still reaches
-    # its own handler with its own subcommand's parser.
+    # its own handler and reports a usage error through its own subcommand.
     assert cli.build_parser() is cli.build_parser()
     assert cli.main(["ppt", "--ratio", "1.5"]) == 3
     assert cli.main(["ppt", "--ratio", "1"]) == 0

@@ -1,7 +1,7 @@
 import math
 
 from hydrolens.free_schmidt import CONVENTION_FACTOR, schmidt_spread
-from hydrolens.hydrogenic import QuantumNumbers, SystemParams
+from hydrolens.states import QuantumNumbers, SystemParams
 
 
 def test_convention_factor():
@@ -32,15 +32,4 @@ def test_spread_scales_inverse_n():
     s1 = schmidt_spread(QuantumNumbers(1, 0, 0), params)
     s2 = schmidt_spread(QuantumNumbers(2, 0, 0), params)
     assert math.isclose(s2.delta_k, s1.delta_k / 2.0)
-
-
-def test_bare_second_moment():
-    # Without the Fourier convention factor the spread squared is 1/(n a0)^2.
-    s = schmidt_spread(QuantumNumbers(3, 1, 0), SystemParams(a0=2.0))
-    assert math.isclose(s.bare_second_moment, 1.0 / 36.0, rel_tol=1e-14)
-
-
-def test_always_entangled():
-    for n in (1, 5, 10):
-        assert schmidt_spread(QuantumNumbers(n, 0, 0), SystemParams(a0=1.0)).entangled
 

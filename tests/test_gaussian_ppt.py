@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -288,3 +289,22 @@ def test_closed_form_rejects_bad_ratio():
     for ratio in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e200, 1e-200):
         with pytest.raises(ValueError):
             ppt_closed_form(GROUND, ratio)
+
+
+def test_overflowing_nu_raises_naming_the_state():
+    # <x^2> <P_X^2> overflows at n = 1e70 and a0/b = 1e20, where nu1 and nu5
+    # would be inf.  The map names its largest a0/b, not its first, and numpy
+    # warns of nothing.
+    qn = QuantumNumbers(10 ** 70, 0, 0)
+    message = f"symplectic eigenvalues overflow a float at n={qn.n}, l=0, m=0, a0/b=1e+20"
+    with pytest.raises(OverflowError) as exc:
+        ppt_closed_form(qn, 1e20)
+    assert str(exc.value) == message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(OverflowError) as exc:
+            detection_map(qn, (1.0, 1e20), (2.0, 1.0), 3)
+    assert str(exc.value) == message
+    assert caught == []
+    # At a0/b = 1e14, <x^2> <P_X^2> = 4.2e307 is finite, and every nu with it.
+    assert all(map(math.isfinite, ppt_closed_form(qn, 1e14).nu))

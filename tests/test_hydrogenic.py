@@ -5,17 +5,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from hydrolens.hydrogenic import (
-    QuantumNumbers,
-    SystemParams,
-    radial_momentum,
-    radial_position,
-)
+from hydrolens.hydrogenic import QuantumNumbers, radial_momentum, radial_position
 from hydrolens.oracle import (
     bessel_transform_radial,
     integrate_momentum,
     integrate_semi_infinite,
 )
+from hydrolens.states import SystemParams
 
 STATES_N4 = [QuantumNumbers(n, l, 0) for n in range(1, 5) for l in range(n)]
 # Rydberg states: l = 0, n/2 and n-1 at n = 50, 100, 200.
