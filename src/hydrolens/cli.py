@@ -7,8 +7,8 @@ propagate; main turns either into a usage error, exit 2, with the
 exception's message, through the subcommand's own parser.
 
 Importing this module loads no numpy, so ppt, schmidt and --version run
-without it.  map and linent load it inside the library calls they make, and
-verify when it imports its sweeps.
+without it.  map loads it in detection_map and _write_map, linent inside
+the library calls it makes, and verify when it imports its sweeps.
 """
 
 from __future__ import annotations
@@ -83,35 +83,55 @@ def cmd_ppt(args) -> int:
 
 
 def _write_map(grid: DetectionMap, fmt: str, stream) -> None:
-    """Write the map one a0 value at a time: its points rows, b inner, come
-    from one %-format of the row template repeated points times.
+    """Write the map one a0 value at a time: one stream.write of its points
+    rows, b inner, so memory is O(points) strings.
 
-    CSV floats take %.17g, as format(v, ".17g") does, so every value round
-    trips.  JSON floats take %r, which is float.__repr__ as json.dumps writes
-    it, in json.dumps(rows, indent=2) layout.  b is formatted once for the
-    whole map and each a0 once for its block, so memory is O(points) strings.
+    Each distinct float is formatted once.  CSV floats take %.17g, as
+    format(v, ".17g") does, so every value round trips; JSON floats take %r,
+    which is float.__repr__ as json.dumps writes it, in json.dumps(rows,
+    indent=2) layout.  b is formatted once for the whole map and each a0 once
+    for its row.  A row's distinct nu columns are formatted together, in one
+    %-format of a template for k * points floats, and split: k = 4 (nu1, nu2,
+    nu5, nu6), or k = 2 where nu5 and nu6 repeat nu1 and nu2 bit for bit, as
+    they do when the x and z axes coincide.  min_nu is bit for bit one of
+    those columns, so each cell takes that column's string, found by one
+    argmin over the stacked columns.
     """
+    import numpy as np
+
     header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
-    num = "%.17g" if fmt == "csv" else "%r"
-    conversions = ("%s", "%s", num, num, num, num, num, "%d")
-    if fmt == "csv":
-        head = ",".join(header) + "\n"
-        row = ",".join(conversions) + "\n"
-    else:
-        head = "[\n"
-        row = "  {\n" + ",\n".join(f'    "{key}": {conv}' for key, conv
-                                    in zip(header, conversions)) + "\n  },\n"
+    csv = fmt == "csv"
+    num = "%.17g" if csv else "%r"
     points = len(grid.b)
-    template = row * points
+    if np.array_equal(grid.nu1, grid.nu5) and np.array_equal(grid.nu2, grid.nu6):
+        cols, pick = (grid.nu1, grid.nu2), (0, 1, 0, 1)
+    else:
+        cols, pick = (grid.nu1, grid.nu2, grid.nu5, grid.nu6), (0, 1, 2, 3)
+    k = len(cols)
+    nu = np.stack(cols, axis=1)  # [i, c, j]: row i's distinct columns, each contiguous
+    # Index of each cell's min_nu in its row's list of k * points strings.
+    low = (np.argmin(nu, axis=1) * points + np.arange(points)).tolist()
+    nu = nu.reshape(points, k * points)
+    template = "\n".join([num] * (k * points))
     b = [num % v for v in grid.b.tolist()]
-    stream.write(head)
+    if csv:
+        stream.write(",".join(header) + "\n")
+        detected = ("0\n", "1\n")  # the last field ends the row
+    else:
+        stream.write("[\n")
+        detected = ("0", "1")
+        rows = ("  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  },\n") * points
     for i, a0 in enumerate(grid.a0.tolist()):
-        block = template % tuple(chain.from_iterable(zip(
-            repeat(num % a0, points), b, grid.nu1[i].tolist(), grid.nu2[i].tolist(),
-            grid.nu5[i].tolist(), grid.nu6[i].tolist(), grid.min_nu[i].tolist(),
-            grid.detected[i].tolist())))
-        if fmt == "json" and i == points - 1:
-            block = block[:-2] + "\n]\n"  # no comma after the last object
+        text = (template % tuple(nu[i].tolist())).split("\n")
+        cells = zip(repeat(num % a0, points), b,
+                    *[text[c * points:(c + 1) * points] for c in pick],
+                    [text[t] for t in low[i]], [detected[d] for d in grid.detected[i].tolist()])
+        if csv:
+            block = "".join(map(",".join, cells))
+        else:
+            block = rows % tuple(chain.from_iterable(cells))
+            if i == points - 1:
+                block = block[:-2] + "\n]\n"  # no comma after the last object
         stream.write(block)
 
 

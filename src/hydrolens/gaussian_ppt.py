@@ -152,10 +152,10 @@ def _nu(qn: QuantumNumbers, a0_over_b):
     nu_1 = sqrt(<x^2> <P_X^2>), nu_2 = 4 sqrt(<X^2> <p_x^2>), and likewise for
     the y (degenerate with x) and z pairs, with all variances dimensionless.
     a0_over_b may be a float or a numpy array; each nu has its shape.  A
-    scalar ratio makes X2 a float (np.float64 is one) and takes math.sqrt,
-    giving Python floats; an array takes np.sqrt.  Both are correctly rounded
-    square roots of the same products, so each nu has the same bits either
-    way.
+    scalar ratio, a numpy scalar too (com_moments takes it as its Python
+    float), makes X2 a float and takes math.sqrt, giving Python floats; an
+    array takes np.sqrt.  Both are correctly rounded square roots of the same
+    products, so each nu has the same bits either way.
 
     Raises OverflowError naming the state and the ratio, for an array its
     largest, where a nu would be inf.  <X^2> <p^2> is at most 5e199 on the

@@ -61,12 +61,17 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
     """Dimensionless centre-of-mass variances (<X^2>, <P_X^2>), each shared by
     all three axes: b^2/(2 a0^2) and a0^2/(2 b^2).  Their product is exactly
     1/4 (minimum-uncertainty Gaussian).  a0_over_b may be a float or a numpy
-    array; every entry must lie in [1e-100, 1e100].
+    array; every entry must lie in [1e-100, 1e100].  A numpy scalar or 0-d
+    array is taken as the Python float of its value, so its variances have
+    the bits of the float call, and numpy neither warns about a later scalar
+    product nor computes in float32.
 
     For a Python float or int the range check is two comparisons and an &
     on plain bools, and a rejected value names itself in the error message;
     ok.all() runs only for numpy inputs, and numpy is imported, to find the
     offending entry, only when such a check fails."""
+    if type(a0_over_b) is not float and getattr(a0_over_b, "shape", None) == ():
+        a0_over_b = float(a0_over_b)
     lo, hi = _RATIO_RANGE
     ok = (a0_over_b >= lo) & (a0_over_b <= hi)
     if not (ok is True or (ok is not False and ok.all())):

@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import hydrolens
@@ -21,6 +21,9 @@ from hydrolens.linear_entropy import linear_entropy
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 # sha256sum line of `hydrolens map --n 7 --l 3 --m 1 --points 256` as CSV.
 GOLDEN_256_SHA = pathlib.Path(__file__).parent / "golden" / "map_256x256.sha256"
+# sha256sum line of `hydrolens map --n 4 --l 3 --m 2 --points 64 --format json`,
+# a state whose x and z axes coincide.
+GOLDEN_JSON_SHA = pathlib.Path(__file__).parent / "golden" / "map_json_64x64.sha256"
 
 
 def run_cli(*args):
@@ -277,6 +280,17 @@ def test_schmidt_a0_conflicts_with_coupling(capsys):
             "hydrolens schmidt: error: --a0 conflicts with --alpha/--mu")
 
 
+def test_schmidt_refuses_a_spread_that_is_not_a_normal_float(capsys):
+    # Neither delta_k = 0 nor delta_p = inf is printed with exit 0.
+    n = str(10 ** 300)
+    assert _usage_error(["schmidt", "--n", n, "--a0", "1e300"], capsys) == (
+        f"hydrolens schmidt: error: Schmidt spread is not a normal float at n={n}, "
+        "a0=1e+300, hbar=1: delta_k=0, delta_p=0")
+    assert _usage_error(["schmidt", "--n", "1", "--a0", "1e-300", "--hbar", "1e10"], capsys) == (
+        "hydrolens schmidt: error: Schmidt spread is not a normal float at n=1, "
+        "a0=1e-300, hbar=1e+10: delta_k=6.34936e+298, delta_p=inf")
+
+
 def test_ppt_ratio_help_names_the_conflict(capsys):
     with pytest.raises(SystemExit):
         cli.main(["ppt", "--help"])
@@ -340,6 +354,14 @@ def test_map_256_matches_committed_sha256(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
+def test_map_json_64_matches_committed_sha256(tmp_path):
+    out = tmp_path / "map64.json"
+    assert cli.main(["map", "--n", "4", "--l", "3", "--m", "2", "--points", "64",
+                     "--format", "json", "--output", str(out)]) == 0
+    want = GOLDEN_JSON_SHA.read_text().split()[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def _reference_map(qn, a0_range, b_range, points):
     """CSV and JSON text of the map, one row at a time from ppt_closed_form."""
     header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
@@ -372,12 +394,48 @@ def _state(draw):
 @settings(max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(qn=_state(), a0_range=_axis(), b_range=_axis(), points=st.integers(2, 64))
+# States whose nu5 and nu6 repeat nu1 and nu2, a single-value b range, and
+# the smallest grid.
+@example(qn=QuantumNumbers(1, 0, 0), a0_range=(0.5, 3.5), b_range=(3.0, 0.2), points=7)
+@example(qn=QuantumNumbers(4, 3, 2), a0_range=(0.01, 40.0), b_range=(0.3, 2.0), points=9)
+@example(qn=QuantumNumbers(7, 3, 1), a0_range=(0.5, 3.5), b_range=(1.5, 1.5), points=5)
+@example(qn=QuantumNumbers(5, 2, -1), a0_range=(1.5, 3.0), b_range=(1.0, 2.0), points=2)
 def test_write_map_matches_row_by_row_reference(qn, a0_range, b_range, points):
     grid = detection_map(qn, a0_range, b_range, points)
     for fmt, want in zip(("csv", "json"), _reference_map(qn, a0_range, b_range, points)):
         out = io.StringIO()
         cli._write_map(grid, fmt, out)
         assert out.getvalue() == want, fmt
+
+
+class _Writes(list):
+    """A stream that keeps each write as one string."""
+
+    write = list.append
+
+
+@pytest.mark.parametrize("qn", [QuantumNumbers(7, 3, 1), QuantumNumbers(4, 3, 2)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_map_writes_one_a0_row_at_a_time(qn, fmt):
+    # The header, then one write per a0 value holding its points rows, b
+    # inner: the writer holds O(points) strings at a time.
+    points = 6
+    grid = detection_map(qn, (0.5, 3.5), (0.5, 3.5), points)
+    writes = _Writes()
+    cli._write_map(grid, fmt, writes)
+    assert len(writes) == points + 1
+    if fmt == "csv":
+        assert writes[0] == "a0,b,nu1,nu2,nu5,nu6,min_nu,detected\n"
+        for a0, block in zip(grid.a0.tolist(), writes[1:]):
+            rows = block.splitlines()
+            assert len(rows) == points and block.endswith("\n")
+            assert {float(row.split(",")[0]) for row in rows} == {a0}
+    else:
+        assert writes[0] == "[\n"
+        rows = json.loads("".join(writes))
+        for i, block in enumerate(writes[1:]):
+            assert block.count('"a0"') == points
+            assert {row["a0"] for row in rows[i * points:(i + 1) * points]} == {grid.a0[i]}
 
 
 def test_map_unwritable_path_is_io_error(tmp_path):

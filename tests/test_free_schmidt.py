@@ -1,4 +1,7 @@
 import math
+import re
+
+import pytest
 
 from hydrolens.free_schmidt import CONVENTION_FACTOR, schmidt_spread
 from hydrolens.states import QuantumNumbers, SystemParams
@@ -33,3 +36,19 @@ def test_spread_scales_inverse_n():
     s2 = schmidt_spread(QuantumNumbers(2, 0, 0), params)
     assert math.isclose(s2.delta_k, s1.delta_k / 2.0)
 
+
+
+@pytest.mark.parametrize("n, a0, hbar", [
+    (10 ** 300, 1e300, 1.0),  # delta_k underflows to 0
+    (1, 1e307, 1.0),  # delta_k is subnormal
+    (10 ** 400, 1.0, 1.0),  # n a0 is too large for a float
+    (1, 1e-300, 1e10),  # delta_p overflows to inf
+], ids=("zero", "subnormal", "huge-n", "inf"))
+def test_spread_outside_the_normal_floats_raises(n, a0, hbar):
+    with pytest.raises(OverflowError, match=re.escape(f"at n={n}, a0={a0:g}, hbar={hbar:g}")):
+        schmidt_spread(QuantumNumbers(n, 0, 0), SystemParams(a0=a0, hbar=hbar))
+
+
+def test_spread_at_the_edge_of_the_normal_floats():
+    s = schmidt_spread(QuantumNumbers(1, 0, 0), SystemParams(a0=1e306))
+    assert s.delta_k == s.delta_p == CONVENTION_FACTOR / 1e306 > 2.2250738585072014e-308

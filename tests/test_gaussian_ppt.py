@@ -308,3 +308,27 @@ def test_overflowing_nu_raises_naming_the_state():
     assert caught == []
     # At a0/b = 1e14, <x^2> <P_X^2> = 4.2e307 is finite, and every nu with it.
     assert all(map(math.isfinite, ppt_closed_form(qn, 1e14).nu))
+
+
+@pytest.mark.parametrize("qn, ratio", [
+    (QuantumNumbers(10 ** 70, 0, 0), np.float64(1e20)),  # overflows in either type
+    (QuantumNumbers(1, 0, 0), np.float32(1.5)),  # would compute in float32
+    (QuantumNumbers(3, 1, 0), np.float64(0.7)),
+    (QuantumNumbers(2, 1, 1), np.array(2.5)),
+    (QuantumNumbers(1, 0, 0), np.float64(1e-200)),  # outside the ratio range
+])
+def test_numpy_scalar_ratio_is_its_python_float(qn, ratio):
+    # A numpy scalar or 0-d array gives the bits of the Python-float call,
+    # Python floats included, or its exception, and numpy warns of nothing.
+    def outcome(f, r):
+        try:
+            return f(qn, r).nu
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (ppt_closed_form, ppt_numeric):
+            got, want = outcome(f, ratio), outcome(f, float(ratio))
+            assert got == want
+            assert all(type(v) is type(w) for v, w in zip(got, want))
