@@ -1,9 +1,7 @@
 """Entanglement witnesses for hydrogen-like two-body quantum systems.
 
-Importing the package loads no numpy: every public name but radial_momentum
-and radial_position comes from a module that imports numpy only inside the
-functions that work on arrays.  Those two are resolved on first access
-(PEP 562), which imports hydrogenic and numpy.
+Importing the package loads no numpy: each module it imports imports numpy
+only inside the functions that need it.
 """
 
 from .free_schmidt import SchmidtSpread, schmidt_spread
@@ -15,11 +13,10 @@ from .gaussian_ppt import (
     ppt_closed_form,
     ppt_numeric,
 )
-# Imported eagerly, not through __getattr__: importing the submodule
-# hydrolens.linear_entropy would otherwise bind the module to this name.
+from .hydrogenic import radial_momentum, radial_position
 from .linear_entropy import LinearEntropyResult, linear_entropy
 from .moments import relative_moments
-from .states import QuantumNumbers, SystemParams
+from .states import QuantumNumbers
 
 __all__ = [
     "DetectionMap",
@@ -27,7 +24,6 @@ __all__ = [
     "PPTVerdict",
     "QuantumNumbers",
     "SchmidtSpread",
-    "SystemParams",
     "blind_band_edges",
     "detection_map",
     "linear_entropy",
@@ -40,10 +36,3 @@ __all__ = [
 ]
 
 __version__ = "1.0.0"
-
-
-def __getattr__(name: str):
-    if name in ("radial_momentum", "radial_position"):
-        from . import hydrogenic
-        return getattr(hydrogenic, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,7 +23,7 @@ from . import __version__
 from .free_schmidt import CONVENTION_FACTOR, schmidt_spread
 from .gaussian_ppt import DetectionMap, detection_map, ppt_closed_form
 from .linear_entropy import linear_entropy
-from .states import QuantumNumbers, SystemParams
+from .states import QuantumNumbers
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,14 +44,22 @@ def _positive(text: str) -> float:
     return value
 
 
-def _resolve_a0(args) -> SystemParams:
+def _resolve_a0(args) -> float:
+    """--a0, or a0 = hbar^2/(mu alpha) from --alpha, --mu and --hbar, each
+    already finite and positive; ValueError naming all three where that a0
+    over- or underflows."""
     if args.a0 is not None:
         if args.alpha is not None or args.mu is not None:
             raise ValueError("--a0 conflicts with --alpha/--mu")
-        return SystemParams(a0=args.a0, hbar=args.hbar)
-    if args.alpha is not None and args.mu is not None:
-        return SystemParams.from_coupling(alpha=args.alpha, mu=args.mu, hbar=args.hbar)
-    raise ValueError("supply --a0, or both --alpha and --mu")
+        return args.a0
+    if args.alpha is None or args.mu is None:
+        raise ValueError("supply --a0, or both --alpha and --mu")
+    # Divided in turn: the product mu * alpha can underflow to zero.
+    a0 = args.hbar * args.hbar / args.mu / args.alpha
+    if not 0 < a0 < math.inf:
+        raise ValueError(f"reduced Bohr radius a0 = hbar^2/(mu alpha) is out of float range, "
+                         f"got {a0} from alpha={args.alpha}, mu={args.mu}, hbar={args.hbar}")
+    return a0
 
 
 def _resolve_ratio(args) -> float:
@@ -65,7 +73,7 @@ def _resolve_ratio(args) -> float:
 
 
 def cmd_schmidt(args) -> int:
-    spread = schmidt_spread(QuantumNumbers(args.n, args.l, args.m), _resolve_a0(args))
+    spread = schmidt_spread(QuantumNumbers(args.n, args.l, args.m), _resolve_a0(args), args.hbar)
     print(f"delta_k = {_human(spread.delta_k)}")
     print(f"delta_p = {_human(spread.delta_p)}")
     print(f"convention_factor = {_human(CONVENTION_FACTOR)}")

@@ -14,11 +14,12 @@ The one closed form runs on Python floats (math.sqrt) for a float ratio and
 on numpy arrays (np.sqrt) for a grid; both square roots are correctly
 rounded, so a point verdict and the map cell at the same ratio agree bit for
 bit.  Where a nu would overflow a float, both raise one OverflowError from
-_nu, naming the state and the ratio (a map's largest).  ppt_numeric is its
-independent oracle: it builds each axis's particle-basis block from the
-variances alone and takes the partially transposed spectrum from the
-invariants Delta and det sigma in exact integer arithmetic on one
-power-of-two scale, rounding each eigenvalue's quotient once.  It solves
+_nu, naming the state and the ratio (a map's largest), and ppt_numeric the
+same message.  ppt_numeric is its independent oracle: it builds each axis's
+particle-basis block from the variances alone and takes the partially
+transposed spectrum from the invariants Delta and det sigma in exact integer
+arithmetic on one power-of-two scale, rounding each eigenvalue's quotient
+once.  It solves
 each distinct axis block once: y always repeats x, and z does too for
 isotropic states.  The state's distinct axes are split into integer
 numerators and power-of-two scales once per state, cached like
@@ -58,6 +59,12 @@ class PPTVerdict(namedtuple("PPTVerdict", "qn a0_over_b nu")):
     def detected(self) -> bool:
         # Strict inequality: nu == 1 exactly is "not detected".
         return self.min_nu < 1.0
+
+
+def _overflow(qn: QuantumNumbers, a0_over_b) -> OverflowError:
+    """The error for a nu that would overflow a float at qn and a0/b."""
+    return OverflowError(f"symplectic eigenvalues overflow a float at n={qn.n}, l={qn.l}, "
+                         f"m={qn.m}, a0/b={a0_over_b:g}")
 
 
 def _two_mode_nu(a_q: int, a_p: int, c_q: int, c_p: int,
@@ -133,15 +140,21 @@ def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     for the axes that share it; the state's axes are split once per state
     (_split_axes) and the two centre-of-mass variances once per call.  The
     partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of the
-    closed form beyond the twelve variances, so it is its oracle.
+    closed form beyond the twelve variances, so it is its oracle.  Where a
+    nu overflows a float, raises _nu's OverflowError, naming the state and
+    a0/b.
     """
+    axes = _split_axes(qn)
     X2, P2 = com_moments(a0_over_b)
     X, Xb = _split(X2)
     P, Pb = _split(P2)
     nu = []
-    for q, qb, p, pb, k in _split_axes(qn):
-        a_q, a_p, c_q, c_p, e = _particle_block(q, qb, p, pb, X, Xb, P, Pb)
-        nu += _two_mode_nu(a_q, a_p, c_q, -c_p, e) * k
+    try:
+        for q, qb, p, pb, k in axes:
+            a_q, a_p, c_q, c_p, e = _particle_block(q, qb, p, pb, X, Xb, P, Pb)
+            nu += _two_mode_nu(a_q, a_p, c_q, -c_p, e) * k
+    except OverflowError:
+        raise _overflow(qn, a0_over_b) from None
     nu.sort()
     return PPTVerdict(qn, a0_over_b, tuple(nu))
 
@@ -171,8 +184,7 @@ def _nu(qn: QuantumNumbers, a0_over_b):
         import numpy as np
         sqrt, ratio, top = np.sqrt, a0_over_b.max(), float(P2.max())
     if x2 * top == math.inf or z2 * top == math.inf:  # y repeats x
-        raise OverflowError(f"symplectic eigenvalues overflow a float at n={qn.n}, l={qn.l}, "
-                            f"m={qn.m}, a0/b={ratio:g}")
+        raise _overflow(qn, ratio)
     return (sqrt(x2 * P2), 4.0 * sqrt(X2 * px2),
             sqrt(y2 * P2), 4.0 * sqrt(X2 * py2),
             sqrt(z2 * P2), 4.0 * sqrt(X2 * pz2))
@@ -232,8 +244,12 @@ def blind_band_edges(qn: QuantumNumbers) -> tuple[float, float] | None:
 
         lo = max_i sqrt(2/<q_i^2>),  hi = min_i sqrt(8 <p_i^2>)
 
-    over the axes i = x, y, z.  Returns None when lo >= hi: then some nu is
-    below 1 at every ratio.
+    over the axes i = x, y, z.  Exactly, lo < hi for every state: the
+    smallest <q^2> and <p^2> share an axis, on which 4 <q^2> <p^2> > 1.  But
+    (hi/lo)^2 - 1 is about 1/(2n) at l = m = n - 1, so from about n = 1e16
+    there the rounded lo can reach hi, and then None is returned (n = 1e16,
+    1e17, 1e20, 1e25).  At those states ppt_closed_form says detected at
+    every float within 6 ulps of lo, so None agrees with the verdicts there.
     """
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     lo = math.sqrt(2.0 / min(x2, y2, z2))

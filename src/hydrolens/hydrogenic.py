@@ -14,39 +14,31 @@ a0 that is not finite and positive.  Where a value overflows a float, at
 Rydberg n beyond the limits their docstrings give, both raise OverflowError
 naming (n, l); neither returns inf or nan.
 
-Internally everything is a pure function of (quantum numbers, a0); dimensionful
-parameters enter only through SystemParams at the API boundary.
-QuantumNumbers and SystemParams live in states, which loads no numpy;
-QuantumNumbers is re-exported here.  This module imports numpy, so the
-package imports it only on first access to hydrolens.radial_position or
-hydrolens.radial_momentum.
+Both are pure functions of (quantum numbers, a0, r or k).  QuantumNumbers
+lives in states and is re-exported here.  numpy is imported inside the
+functions, so importing this module, as the package does, loads none.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .states import QuantumNumbers, _check_positive
 
 
-def _radial_argument(a0: float, x, name: str) -> np.ndarray:
-    """Check a0 and a radial argument x; return x as a float array (0-d for a
-    scalar x)."""
-    _check_positive("a0", a0)
-    x = np.asarray(x, dtype=float)
-    if not np.all((0 <= x) & (x < math.inf)):
-        raise ValueError(f"{name} must be finite and >= 0")
-    return x
-
-
-def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x: np.ndarray):
-    """evaluate(qn, a0, x), or OverflowError naming the state if any value is
-    not finite.  A 0-d x gives a Python float.
+def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x, x_name: str):
+    """evaluate(qn, a0, x) on x as a float array (0-d for a scalar x), after
+    checking a0 and x; OverflowError naming the state if any value is not
+    finite.  A scalar x gives a Python float.
 
     numpy's overflow warnings are silenced, since the check reports them.
     """
+    import numpy as np
+
+    _check_positive("a0", a0)
+    x = np.asarray(x, dtype=float)
+    if not np.all((0 <= x) & (x < math.inf)):
+        raise ValueError(f"{x_name} must be finite and >= 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         value = evaluate(qn, a0, x)
     if not np.isfinite(value).all():
@@ -69,10 +61,12 @@ def radial_position(qn: QuantumNumbers, a0: float, r):
     overflows and OverflowError names the state.  r may be a float or a numpy
     array; a float r gives a float.  Has exactly d nodes on (0, inf).
     """
-    return _checked(_position, "R_nl", qn, a0, _radial_argument(a0, r, "radial coordinate"))
+    return _checked(_position, "R_nl", qn, a0, r, "radial coordinate")
 
 
 def _position(qn: QuantumNumbers, a0: float, r):
+    import numpy as np
+
     n, l = qn.n, qn.l
     d, p = n - l - 1, 2 * l + 1
     rho = 2.0 * r / (n * a0)
@@ -104,10 +98,12 @@ def radial_momentum(qn: QuantumNumbers, a0: float, k):
     n a0 k = 0.22), and OverflowError names the state.  k may be a float or
     a numpy array; a float k gives a float.
     """
-    return _checked(_momentum, "F_nl", qn, a0, _radial_argument(a0, k, "wavevector magnitude"))
+    return _checked(_momentum, "F_nl", qn, a0, k, "wavevector magnitude")
 
 
 def _momentum(qn: QuantumNumbers, a0: float, k):
+    import numpy as np
+
     n, l = qn.n, qn.l
     d, alpha = n - l - 1, l + 1
     s = n * a0 * k

@@ -6,12 +6,11 @@ is a sum of positive Wigner 3-j terms; the radial factor I_rad = int k^2 F^4
 dk comes from a Gauss-Chebyshev rule, exact for its polynomial integrand.
 Reported for completeness only: the linear entropy carries no operational
 meaning as an entanglement quantifier for these continuous states (it tends
-to 1 for every eigenstate as V -> infinity).
+to 1 for every eigenstate as V -> infinity, spelled math.inf).
 
-radial_sum imports numpy and hydrogenic when it runs, and angular_sum needs
-neither, so the package can import linear_entropy, the function, without
-loading numpy.  The result is a namedtuple, so importing this module loads
-no dataclasses either.
+radial_sum imports numpy when it runs, and angular_sum needs none, so
+importing this module, as the package does, loads no numpy.  The result is
+a namedtuple, so it loads no dataclasses either.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import math
 import sys
 from collections import namedtuple
 
+from .hydrogenic import radial_momentum
 from .states import QuantumNumbers, _check_positive
 
 
@@ -28,11 +28,11 @@ class LinearEntropyResult(namedtuple("LinearEntropyResult", "qn i_ang i_rad prod
 
     __slots__ = ()
 
-    def s_lin(self, volume: float | None = None) -> float:
-        """1 - product/V; exactly 1 in the V -> infinity limit, 0 at
-        V = product.  The purity product/V cannot exceed 1, so a V below the
-        product raises ValueError naming both."""
-        if volume is None or math.isinf(volume):
+    def s_lin(self, volume: float) -> float:
+        """1 - product/V; exactly 1 at V = math.inf, 0 at V = product.  The
+        purity product/V cannot exceed 1, so a V below the product raises
+        ValueError naming both."""
+        if volume == math.inf:
             return 1.0
         if not volume > 0:
             raise ValueError(f"volume must be positive, got {volume}")
@@ -96,16 +96,13 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     """
     import numpy as np
 
-    from .hydrogenic import radial_momentum
-
-    if not (0 <= l < n):
-        raise ValueError(f"require 0 <= l < n, got n={n}, l={l}")
+    qn = QuantumNumbers(n, l)
     _check_positive("a0", a0)
     nodes = 2 * n + 1
     theta = np.arange(1, nodes + 1) * (math.pi / (nodes + 1))
     x, s = np.cos(theta), np.sin(theta)
     k = np.sqrt((1.0 + x) / (1.0 - x)) / n
-    f = radial_momentum(QuantumNumbers(n, l), 1.0, k)
+    f = radial_momentum(qn, 1.0, k)
     # k^2 F^4 dk/dx / sqrt(1-x^2), with dk/dx = k/(1-x^2) and sqrt(1-x^2) = s.
     poly = k ** 3 * f ** 4 / s ** 3
     i_rad = math.pi / (nodes + 1) * float(np.dot(s * s, poly)) * a0 * a0 * a0

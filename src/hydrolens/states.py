@@ -1,12 +1,13 @@
-"""The state and parameter types every layer shares: QuantumNumbers and
-SystemParams, with the positivity check they and the radial functions apply.
+"""The state type every layer shares, QuantumNumbers, and the positivity
+check that every float parameter (a0, hbar) goes through.
 
-Both are validated tuples: namedtuple subclasses whose __new__ checks and
-normalises the fields, so a value is immutable, hashes and compares in C,
-and costs one tuple allocation.  A QuantumNumbers unpacks as n, l, m and
-compares, orders and hashes equal to the plain tuple (n, l, m); assigning to
-a field raises AttributeError.  _replace and _make validate as the
-constructor does.
+A system enters only through its reduced Bohr radius a0, one float, so there
+is no parameter type.  QuantumNumbers is a validated tuple: a namedtuple
+subclass whose __new__ checks and normalises the fields, so a value is
+immutable, hashes and compares in C, and costs one tuple allocation.  It
+unpacks as n, l, m and compares, orders and hashes equal to the plain tuple
+(n, l, m); assigning to a field raises AttributeError.  _replace and _make
+validate as the constructor does.
 
 Plain Python, no numpy, so that the point queries (ppt, schmidt) and
 importing the package never load numpy.
@@ -53,39 +54,3 @@ class QuantumNumbers(namedtuple("QuantumNumbers", "n l m")):
     @classmethod
     def _make(cls, iterable) -> "QuantumNumbers":
         return cls(*iterable)
-
-
-class SystemParams(namedtuple("SystemParams", "a0 alpha mu hbar")):
-    """Physical parameters: coupling alpha, reduced mass mu, hbar, and the
-    derived reduced Bohr radius a0 = hbar^2 / (mu * alpha).
-
-    Either construct from (alpha, mu, hbar) or supply a0 directly, in which
-    case alpha and mu are optional metadata.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a0: float, alpha: float | None = None, mu: float | None = None,
-                hbar: float = 1.0):
-        for name, value in zip(cls._fields, (a0, alpha, mu, hbar)):
-            if value is not None:
-                _check_positive(name, value)
-        return tuple.__new__(cls, (a0, alpha, mu, hbar))
-
-    @classmethod
-    def _make(cls, iterable) -> "SystemParams":
-        return cls(*iterable)
-
-    @classmethod
-    def from_coupling(cls, alpha: float, mu: float, hbar: float = 1.0) -> "SystemParams":
-        """The parameters with a0 = hbar^2 / (mu alpha).  Raises ValueError
-        naming the input that is not finite and positive, or, where all are
-        but a0 over- or underflows, naming a0 with alpha, mu and hbar."""
-        for name, value in (("alpha", alpha), ("mu", mu), ("hbar", hbar)):
-            _check_positive(name, value)
-        # Divided in turn: the product mu * alpha can underflow to zero.
-        a0 = hbar * hbar / mu / alpha
-        if not 0 < a0 < math.inf:
-            raise ValueError(f"reduced Bohr radius a0 = hbar^2/(mu alpha) is out of float "
-                             f"range, got {a0} from alpha={alpha}, mu={mu}, hbar={hbar}")
-        return cls(a0, alpha, mu, hbar)

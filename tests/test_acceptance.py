@@ -31,7 +31,6 @@ from hydrolens.oracle import (
 )
 from hydrolens.hydrogenic import radial_position
 from hydrolens.specfun import spherical_harmonic_sq
-from hydrolens.states import SystemParams
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 
@@ -70,15 +69,15 @@ def test_criterion_3_schmidt_spread_identity():
     ok = True
     for n in range(1, 11):
         for a0 in (0.5, 1.0, 2.0):
-            s = schmidt_spread(QuantumNumbers(n, 0, 0), SystemParams(a0=a0))
+            s = schmidt_spread(QuantumNumbers(n, 0, 0), a0)
             # Identity up to the final rounding of the product (<= 2 ulp).
             ok &= abs(s.delta_p * (2 * math.pi) ** 1.5 * n * a0 - 1.0) <= 4.5e-16
     # Independence from l and m, exhaustively.
     for n in range(1, 11):
-        ref = schmidt_spread(QuantumNumbers(n, 0, 0), SystemParams(a0=1.0))
+        ref = schmidt_spread(QuantumNumbers(n, 0, 0), 1.0)
         for l in range(n):
             for m in range(-l, l + 1):
-                s = schmidt_spread(QuantumNumbers(n, l, m), SystemParams(a0=1.0))
+                s = schmidt_spread(QuantumNumbers(n, l, m), 1.0)
                 ok &= s.delta_p == ref.delta_p and s.delta_k == ref.delta_k
     report(3, "Schmidt spread identity", ok)
 

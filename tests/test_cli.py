@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import hydrolens
 from hydrolens import cli, verify
 from hydrolens.gaussian_ppt import detection_map, ppt_closed_form
-from hydrolens.hydrogenic import QuantumNumbers
+from hydrolens.hydrogenic import QuantumNumbers, radial_momentum
 from hydrolens.linear_entropy import linear_entropy
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
@@ -142,6 +142,22 @@ def test_cli_import_budget():
     assert res.stdout == "[]\n"
 
 
+def test_library_modules_load_numpy_only_when_they_compute():
+    # hydrogenic and linear_entropy import numpy inside their functions, so
+    # importing them, as the package does, loads none; the first radial call
+    # does.
+    code = "\n".join([
+        "import sys, hydrolens.hydrogenic, hydrolens.linear_entropy",
+        "print('numpy' in sys.modules)",
+        "import hydrolens",
+        "value = hydrolens.radial_momentum(hydrolens.QuantumNumbers(2, 1), 1.0, 0.5)",
+        "print(repr(value), 'numpy' in sys.modules)",
+    ])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == f"False\n{radial_momentum(QuantumNumbers(2, 1), 1.0, 0.5)!r} True\n"
+
+
 @pytest.mark.parametrize("prelude", [
     "import hydrolens",
     # Importing the submodule hydrolens.linear_entropy first must not leave
@@ -241,6 +257,28 @@ def _usage_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"usage: hydrolens {argv[0]} ")
     return captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("alpha, mu, hbar, a0", [
+    ("1e-200", "1e-200", "1", "inf"),  # mu alpha underflows
+    ("1e200", "1e200", "1", "0.0"),  # hbar^2/mu/alpha underflows
+    ("1", "1", "1e200", "inf"),  # hbar^2 overflows
+])
+def test_schmidt_derived_a0_out_of_range_is_usage_error(alpha, mu, hbar, a0, capsys):
+    # Each flag is finite and positive, but a0 = hbar^2/(mu alpha) is not.
+    argv = ["schmidt", "--n", "1", "--alpha", alpha, "--mu", mu, "--hbar", hbar]
+    assert _usage_error(argv, capsys) == (
+        "hydrolens schmidt: error: reduced Bohr radius a0 = hbar^2/(mu alpha) is out of float "
+        f"range, got {a0} from alpha={float(alpha)}, mu={float(mu)}, hbar={float(hbar)}")
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--mu", "--hbar"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "0", "-2"])
+def test_schmidt_coupling_flag_that_is_bad_is_named(flag, bad, capsys):
+    # Each input is checked by name before a0 is formed.
+    argv = ["schmidt", "--n", "1", "--alpha", "2", "--mu", "0.5", flag, bad]
+    assert _usage_error(argv, capsys) == (
+        f"hydrolens schmidt: error: argument {flag}: must be finite and positive, got '{bad}'")
 
 
 def test_ppt_and_map_at_huge_n_are_usage_errors(capsys):

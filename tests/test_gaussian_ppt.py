@@ -236,6 +236,22 @@ def test_blind_band_edges_match_bisection():
             assert _same_band(blind_band_edges(qn), _bisected_band(qn), 1e-9), qn
 
 
+@pytest.mark.parametrize("n", [10 ** 16, 10 ** 17, 10 ** 20, 10 ** 25])
+def test_blind_band_is_none_where_lo_rounds_to_hi(n):
+    # Exactly lo < hi, but (hi/lo)^2 - 1 is about 1/(2n) at l = m = n - 1, so
+    # at these n the rounded lo reaches hi.  None agrees with the verdicts:
+    # every float within 6 ulps of lo is detected.
+    qn = QuantumNumbers(n, n - 1, n - 1)
+    assert blind_band_edges(qn) is None
+    x2, y2, z2, *_ = relative_moments(qn)
+    ratio = math.sqrt(2.0 / min(x2, y2, z2))
+    for _ in range(6):
+        ratio = math.nextafter(ratio, 0.0)
+    for _ in range(13):
+        assert ppt_closed_form(qn, ratio).detected, ratio
+        ratio = math.nextafter(ratio, math.inf)
+
+
 def test_inside_blind_band_not_detected():
     assert not ppt_closed_form(GROUND, 1.5).detected
     assert ppt_closed_form(GROUND, 1.0).detected
@@ -308,6 +324,22 @@ def test_overflowing_nu_raises_naming_the_state():
     assert caught == []
     # At a0/b = 1e14, <x^2> <P_X^2> = 4.2e307 is finite, and every nu with it.
     assert all(map(math.isfinite, ppt_closed_form(qn, 1e14).nu))
+
+
+@pytest.mark.parametrize("ratio", [1e20, np.float64(1e20)], ids=("float", "float64"))
+def test_ppt_numeric_overflow_names_the_state(ratio):
+    # The exact solve overflows where the closed form does, and raises the
+    # closed form's message, not int / int's bare one.  relative_moments' own
+    # overflow, before the solve, keeps its text.
+    qn = QuantumNumbers(10 ** 70, 0, 0)
+    with pytest.raises(OverflowError) as exc:
+        ppt_numeric(qn, ratio)
+    assert str(exc.value) == (f"symplectic eigenvalues overflow a float at n={qn.n}, l=0, m=0, "
+                              "a0/b=1e+20")
+    huge = QuantumNumbers(10 ** 80, 0, 0)
+    with pytest.raises(OverflowError) as exc:
+        ppt_numeric(huge, ratio)
+    assert str(exc.value) == f"second moments overflow a float at n={huge.n}, l=0, m=0"
 
 
 @pytest.mark.parametrize("qn, ratio", [

@@ -11,7 +11,6 @@ from hydrolens.oracle import (
     integrate_momentum,
     integrate_semi_infinite,
 )
-from hydrolens.states import SystemParams
 
 STATES_N4 = [QuantumNumbers(n, l, 0) for n in range(1, 5) for l in range(n)]
 # Rydberg states: l = 0, n/2 and n-1 at n = 50, 100, 200.
@@ -40,21 +39,6 @@ def test_quantum_numbers_must_be_integers():
     assert qn == QuantumNumbers(12, 11, -11)
     assert all(type(v) is int for v in (qn.n, qn.l, qn.m))
     assert hash(qn) == hash(QuantumNumbers(12, 11, -11))
-
-
-def test_system_params():
-    p = SystemParams.from_coupling(alpha=2.0, mu=0.5, hbar=1.0)
-    assert math.isclose(p.a0, 1.0)
-    with pytest.raises(ValueError):
-        SystemParams(a0=-1.0)
-    for bad in (math.nan, math.inf, -math.inf):
-        for field in ("a0", "alpha", "mu", "hbar"):
-            with pytest.raises(ValueError):
-                SystemParams(**{"a0": 1.0, field: bad})
-    # a0 = hbar^2 / (mu alpha) overflows, or underflows to zero.
-    for alpha, mu in ((1e-300, 1e-300), (1e300, 1e300)):
-        with pytest.raises(ValueError):
-            SystemParams.from_coupling(alpha=alpha, mu=mu)
 
 
 def test_ground_state_at_origin():

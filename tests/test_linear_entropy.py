@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -190,13 +191,14 @@ def test_radial_sum_overflow_raises():
 
 def test_s_lin_limits():
     res = linear_entropy(QuantumNumbers(1, 0, 0))
-    assert res.s_lin() == 1.0
     assert res.s_lin(math.inf) == 1.0
     assert math.isclose(res.s_lin(10.0), 1.0 - res.product / 10.0)
     with pytest.raises(ValueError):
         res.s_lin(-1.0)
     with pytest.raises(ValueError):
         res.s_lin(math.nan)
+    with pytest.raises(ValueError, match="volume must be positive, got -inf"):
+        res.s_lin(-math.inf)
 
 
 def test_s_lin_rejects_a_volume_below_the_product():
@@ -221,7 +223,8 @@ def test_angular_sum_rejects_invalid_degree_and_order():
 def test_validation():
     with pytest.raises(ValueError):
         angular_sum(1, 2)
-    with pytest.raises(ValueError):
+    # The state's own check: QuantumNumbers(n, l) names both.
+    with pytest.raises(ValueError, match=re.escape("require 0 <= l <= n-1, got n=1, l=1")):
         radial_sum(1, 1)
     for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ValueError):

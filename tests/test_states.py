@@ -1,6 +1,5 @@
 """The contracts of the value types: validated tuples with fixed messages."""
 
-import math
 import re
 
 import numpy as np
@@ -10,7 +9,7 @@ from hydrolens.free_schmidt import schmidt_spread
 from hydrolens.gaussian_ppt import _split_axes, detection_map, ppt_closed_form, ppt_numeric
 from hydrolens.linear_entropy import linear_entropy
 from hydrolens.moments import relative_moments
-from hydrolens.states import QuantumNumbers, SystemParams
+from hydrolens.states import QuantumNumbers
 
 
 @pytest.mark.parametrize("args, message", [
@@ -59,40 +58,10 @@ def test_fresh_equal_states_share_one_cache_entry():
         relative_moments((2, 5, 0))
 
 
-def test_system_params_messages():
-    for name in ("a0", "alpha", "mu", "hbar"):
-        for bad, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf")):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"{name} must be finite and positive, got {shown}")
-                               + "$"):
-                SystemParams(**{"a0": 1.0, name: bad})
-    p = SystemParams(2.0, hbar=3.0)
-    assert p == (2.0, None, None, 3.0) and (p.alpha, p.mu) == (None, None)
-
-
-def test_from_coupling_blames_the_input_that_is_bad():
-    # Each input is checked by name before a0 is formed: an infinite alpha
-    # once gave a0 = 0 and blamed a0.
-    for name in ("alpha", "mu", "hbar"):
-        for bad, shown in ((math.inf, "inf"), (math.nan, "nan"), (0.0, "0.0"), (-2.0, "-2.0")):
-            kwargs = {"alpha": 2.0, "mu": 0.5, "hbar": 1.0, name: bad}
-            with pytest.raises(ValueError, match=re.escape(
-                    f"{name} must be finite and positive, got {shown}") + "$"):
-                SystemParams.from_coupling(**kwargs)
-    # Valid inputs whose a0 = hbar^2/(mu alpha) overflows or underflows.
-    for alpha, mu, hbar, a0 in ((1e-200, 1e-200, 1.0, "inf"), (1e200, 1e200, 1.0, "0.0"),
-                                (1.0, 1.0, 1e200, "inf")):
-        with pytest.raises(ValueError, match=re.escape(
-                f"reduced Bohr radius a0 = hbar^2/(mu alpha) is out of float range, got {a0} "
-                f"from alpha={alpha}, mu={mu}, hbar={hbar}") + "$"):
-            SystemParams.from_coupling(alpha=alpha, mu=mu, hbar=hbar)
-    assert SystemParams.from_coupling(alpha=2.0, mu=0.5, hbar=3.0) == (9.0, 2.0, 0.5, 3.0)
-
-
 def test_fields_cannot_be_assigned():
     qn = QuantumNumbers(2, 1, 1)
-    values = [qn, SystemParams(1.0), ppt_closed_form(qn, 1.0), ppt_numeric(qn, 1.0),
-              schmidt_spread(qn, SystemParams(1.0)), linear_entropy(qn),
+    values = [qn, ppt_closed_form(qn, 1.0), ppt_numeric(qn, 1.0),
+              schmidt_spread(qn, 1.0), linear_entropy(qn),
               detection_map(qn, (1.0, 2.0), (1.0, 2.0), 2)]
     for value in values:
         field = value._fields[0]
