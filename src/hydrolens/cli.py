@@ -92,54 +92,52 @@ def cmd_ppt(args) -> int:
 
 def _write_map(grid: DetectionMap, fmt: str, stream) -> None:
     """Write the map one a0 value at a time: one stream.write of its points
-    rows, b inner, so memory is O(points) strings.
+    rows, b inner, so memory is O(points) in either format.
 
-    Each distinct float is formatted once.  CSV floats take %.17g, as
-    format(v, ".17g") does, so every value round trips; JSON floats take %r,
-    which is float.__repr__ as json.dumps writes it, in json.dumps(rows,
-    indent=2) layout.  b is formatted once for the whole map and each a0 once
-    for its row.  A row's distinct nu columns are formatted together, in one
-    %-format of a template for k * points floats, and split: k = 4 (nu1, nu2,
-    nu5, nu6), or k = 2 where nu5 and nu6 repeat nu1 and nu2 bit for bit, as
-    they do when the x and z axes coincide.  min_nu is bit for bit one of
-    those columns, so each cell takes that column's string, found by one
-    argmin over the stacked columns.
+    The distinct nu columns are k = 4 (nu1, nu2, nu5, nu6), or k = 2 where
+    nu5 and nu6 repeat nu1 and nu2 bit for bit, as they do when the x and z
+    axes coincide; min_nu is bit for bit one of them, found by argmin, and
+    takes its text.  Each distinct float is formatted once.
+
+    CSV floats are format(v, ".17g"), so every value round trips.
+    csvmap.write_csv makes those bytes in numpy, a block of rows at a time:
+    Dekker's exact two-product gives v * 10^s as p + err, and the half-even
+    rounding of p + err to 17 digits is d = p + rint(err), since there p is
+    an even integer and |err| <= 8.  A value below 1e-4 or from 1e16 on,
+    which every value that %g writes with an exponent is, or one that the
+    exact checks on p + err and d refuse, takes Python's %.17g; see that
+    module.  JSON floats are float.__repr__, as json.dumps writes them, in
+    json.dumps(rows, indent=2) layout: the shortest text that round trips is
+    not a fixed number of digits, so a row's distinct columns are formatted
+    by one %-format of a %r template and split.
     """
     import numpy as np
 
-    header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
-    csv = fmt == "csv"
-    num = "%.17g" if csv else "%r"
     points = len(grid.b)
     if np.array_equal(grid.nu1, grid.nu5) and np.array_equal(grid.nu2, grid.nu6):
         cols, pick = (grid.nu1, grid.nu2), (0, 1, 0, 1)
     else:
         cols, pick = (grid.nu1, grid.nu2, grid.nu5, grid.nu6), (0, 1, 2, 3)
-    k = len(cols)
-    nu = np.stack(cols, axis=1)  # [i, c, j]: row i's distinct columns, each contiguous
-    # Index of each cell's min_nu in its row's list of k * points strings.
-    low = (np.argmin(nu, axis=1) * points + np.arange(points)).tolist()
-    nu = nu.reshape(points, k * points)
-    template = "\n".join([num] * (k * points))
-    b = [num % v for v in grid.b.tolist()]
-    if csv:
+    header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
+    if fmt == "csv":
+        from .csvmap import write_csv
         stream.write(",".join(header) + "\n")
-        detected = ("0\n", "1\n")  # the last field ends the row
-    else:
-        stream.write("[\n")
-        detected = ("0", "1")
-        rows = ("  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  },\n") * points
+        write_csv(grid, cols, pick, stream)
+        return
+    template = "\n".join(["%r"] * (len(cols) * points))
+    b = [repr(v) for v in grid.b.tolist()]
+    stream.write("[\n")
+    rows = ("  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  },\n") * points
     for i, a0 in enumerate(grid.a0.tolist()):
-        text = (template % tuple(nu[i].tolist())).split("\n")
-        cells = zip(repeat(num % a0, points), b,
+        nu = np.stack([c[i] for c in cols])
+        text = (template % tuple(nu.ravel().tolist())).split("\n")
+        low = (nu.argmin(axis=0) * points + np.arange(points)).tolist()
+        cells = zip(repeat(repr(a0), points), b,
                     *[text[c * points:(c + 1) * points] for c in pick],
-                    [text[t] for t in low[i]], [detected[d] for d in grid.detected[i].tolist()])
-        if csv:
-            block = "".join(map(",".join, cells))
-        else:
-            block = rows % tuple(chain.from_iterable(cells))
-            if i == points - 1:
-                block = block[:-2] + "\n]\n"  # no comma after the last object
+                    [text[t] for t in low], [("0", "1")[d] for d in grid.detected[i].tolist()])
+        block = rows % tuple(chain.from_iterable(cells))
+        if i == points - 1:
+            block = block[:-2] + "\n]\n"  # no comma after the last object
         stream.write(block)
 
 

@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .moments import com_moments, relative_moments
+from .moments import _RATIO_RANGE, com_moments, relative_moments
 from .states import QuantumNumbers
 
 
@@ -236,22 +236,49 @@ def detection_map(qn: QuantumNumbers, a0_range: tuple[float, float],
                         min_nu=min_nu, detected=min_nu < 1.0)
 
 
+def _edge(holds, r: float, outward: float, inward: float) -> float:
+    """The last float from r towards outward at which holds(ratio) is true.
+
+    holds is true on the inward side of one float and false beyond it; r is
+    within a few ulps of that float.  Ratios outside the range that
+    com_moments accepts, where no verdict exists, are not stepped into."""
+    lo, hi = _RATIO_RANGE
+    if not lo <= r <= hi:
+        return r
+    if holds(r):
+        while lo <= (step := math.nextafter(r, outward)) <= hi and holds(step):
+            r = step
+        return r
+    r = math.nextafter(r, inward)
+    while not holds(r):
+        r = math.nextafter(r, inward)
+    return r
+
+
 def blind_band_edges(qn: QuantumNumbers) -> tuple[float, float] | None:
-    """Ratio interval [lo, hi] of a0/b on which every nu >= 1 (not detected).
+    """Float interval [lo, hi] of a0/b on which ppt_closed_form says "not
+    detected": every nu >= 1 there, and some nu < 1 at every other float.
 
     nu_q = sqrt(<q^2> <P_X^2>) >= 1 exactly when a0/b >= sqrt(2/<q^2>), and
     nu_p = 4 sqrt(<X^2> <p^2>) >= 1 exactly when a0/b <= sqrt(8 <p^2>), so
+    in exact arithmetic
 
         lo = max_i sqrt(2/<q_i^2>),  hi = min_i sqrt(8 <p_i^2>)
 
-    over the axes i = x, y, z.  Exactly, lo < hi for every state: the
-    smallest <q^2> and <p^2> share an axis, on which 4 <q^2> <p^2> > 1.  But
-    (hi/lo)^2 - 1 is about 1/(2n) at l = m = n - 1, so from about n = 1e16
-    there the rounded lo can reach hi, and then None is returned (n = 1e16,
-    1e17, 1e20, 1e25).  At those states ppt_closed_form says detected at
-    every float within 6 ulps of lo, so None agrees with the verdicts there.
+    over the axes i = x, y, z.  Rounded, those edges can sit a few ulps from
+    the floats where the rounded nu cross 1, so each is stepped with
+    math.nextafter to the last float of the band: every nu_q rises with a0/b
+    and every nu_p falls, so each verdict flips once and the stepping ends.
+    Exactly, lo < hi for every state: the smallest <q^2> and <p^2> share an
+    axis, on which 4 <q^2> <p^2> > 1.  But (hi/lo)^2 - 1 is about 1/(2n) at
+    l = m = n - 1, so from about n = 1e15 there the band is one float (n =
+    1e15, 1e19, 1e30) or none, and then None is returned (n = 1e16, 1e17,
+    1e18, 1e20, 1e25).  An edge outside [1e-100, 1e100], where ppt_closed_form
+    raises, is the rounded closed form.
     """
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
-    lo = math.sqrt(2.0 / min(x2, y2, z2))
-    hi = math.sqrt(8.0 * min(px2, py2, pz2))
-    return None if lo >= hi else (lo, hi)
+    lo = _edge(lambda r: min(_nu(qn, r)[0::2]) >= 1.0,
+               math.sqrt(2.0 / min(x2, y2, z2)), 0.0, math.inf)
+    hi = _edge(lambda r: min(_nu(qn, r)[1::2]) >= 1.0,
+               math.sqrt(8.0 * min(px2, py2, pz2)), math.inf, 0.0)
+    return None if lo > hi else (lo, hi)

@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,11 @@ GOLDEN_256_SHA = pathlib.Path(__file__).parent / "golden" / "map_256x256.sha256"
 # sha256sum line of `hydrolens map --n 4 --l 3 --m 2 --points 64 --format json`,
 # a state whose x and z axes coincide.
 GOLDEN_JSON_SHA = pathlib.Path(__file__).parent / "golden" / "map_json_64x64.sha256"
+# sha256sum line of the CSV map of (9, 4, -2) over a0 in [1e-30, 1e30] and b in
+# [3e-30, 2e29], 64 points: most values take %.17g's exponent form.
+WIDE_ARGS = ("map", "--n", "9", "--l", "4", "--m", "-2", "--a0-min", "1e-30", "--a0-max", "1e30",
+             "--b-min", "3e-30", "--b-max", "2e29", "--points", "64")
+GOLDEN_WIDE_SHA = pathlib.Path(__file__).parent / "golden" / "map_wide_64x64.sha256"
 
 
 def run_cli(*args):
@@ -400,6 +406,13 @@ def test_map_json_64_matches_committed_sha256(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
+def test_map_wide_64_matches_committed_sha256(tmp_path):
+    out = tmp_path / "map_wide.csv"
+    assert cli.main([*WIDE_ARGS, "--output", str(out)]) == 0
+    want = GOLDEN_WIDE_SHA.read_text().split()[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def _reference_map(qn, a0_range, b_range, points):
     """CSV and JSON text of the map, one row at a time from ppt_closed_form."""
     header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
@@ -438,6 +451,11 @@ def _state(draw):
 @example(qn=QuantumNumbers(4, 3, 2), a0_range=(0.01, 40.0), b_range=(0.3, 2.0), points=9)
 @example(qn=QuantumNumbers(7, 3, 1), a0_range=(0.5, 3.5), b_range=(1.5, 1.5), points=5)
 @example(qn=QuantumNumbers(5, 2, -1), a0_range=(1.5, 3.0), b_range=(1.0, 2.0), points=2)
+# Several CSV blocks with a partial last one, and axes over which most values
+# take the exponent form.
+@example(qn=QuantumNumbers(9, 4, -2), a0_range=(0.01, 40.0), b_range=(3.0, 0.2), points=100)
+@example(qn=QuantumNumbers(3, 0, 0), a0_range=(0.5, 3.5), b_range=(0.02, 2.0), points=130)
+@example(qn=QuantumNumbers(6, 2, 1), a0_range=(1e-30, 1e30), b_range=(3e-30, 2e29), points=40)
 def test_write_map_matches_row_by_row_reference(qn, a0_range, b_range, points):
     grid = detection_map(qn, a0_range, b_range, points)
     for fmt, want in zip(("csv", "json"), _reference_map(qn, a0_range, b_range, points)):
@@ -474,6 +492,26 @@ def test_write_map_writes_one_a0_row_at_a_time(qn, fmt):
         for i, block in enumerate(writes[1:]):
             assert block.count('"a0"') == points
             assert {row["a0"] for row in rows[i * points:(i + 1) * points]} == {grid.a0[i]}
+
+
+class _Null:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_map_memory_does_not_grow_with_the_map(fmt):
+    # The writer holds a block of rows at a time: a 512^2 map, whose columns
+    # alone take 2 MB each, is written within 2 MB of allocations.
+    grid = detection_map(QuantumNumbers(7, 3, 1), (0.5, 3.5), (0.5, 3.5), 512)
+    cli._write_map(grid, fmt, _Null())  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        cli._write_map(grid, fmt, _Null())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_map_unwritable_path_is_io_error(tmp_path):

@@ -236,11 +236,12 @@ def test_blind_band_edges_match_bisection():
             assert _same_band(blind_band_edges(qn), _bisected_band(qn), 1e-9), qn
 
 
-@pytest.mark.parametrize("n", [10 ** 16, 10 ** 17, 10 ** 20, 10 ** 25])
+@pytest.mark.parametrize("n", [10 ** 16, 10 ** 17, 10 ** 18, 10 ** 20, 10 ** 25])
 def test_blind_band_is_none_where_lo_rounds_to_hi(n):
     # Exactly lo < hi, but (hi/lo)^2 - 1 is about 1/(2n) at l = m = n - 1, so
-    # at these n the rounded lo reaches hi.  None agrees with the verdicts:
-    # every float within 6 ulps of lo is detected.
+    # at these n the rounded lo reaches hi, or (n = 1e18) no float between
+    # them is undetected.  None agrees with the verdicts: every float within
+    # 6 ulps of lo is detected.
     qn = QuantumNumbers(n, n - 1, n - 1)
     assert blind_band_edges(qn) is None
     x2, y2, z2, *_ = relative_moments(qn)
@@ -250,6 +251,40 @@ def test_blind_band_is_none_where_lo_rounds_to_hi(n):
     for _ in range(13):
         assert ppt_closed_form(qn, ratio).detected, ratio
         ratio = math.nextafter(ratio, math.inf)
+
+
+def _floats_around(x, k):
+    """The 2k + 1 floats from k ulps below x to k above, ascending."""
+    for _ in range(k):
+        x = math.nextafter(x, 0.0)
+    out = [x]
+    for _ in range(2 * k):
+        out.append(math.nextafter(out[-1], math.inf))
+    return out
+
+
+def test_blind_band_agrees_with_the_verdict_at_every_float_near_its_edges():
+    # 650 states, 33 floats at each edge: ppt_closed_form is detected exactly
+    # outside the band.
+    for n in range(1, 13):
+        for l in range(n):
+            for m in range(-l, l + 1):
+                qn = QuantumNumbers(n, l, m)
+                lo, hi = blind_band_edges(qn)
+                for ratio in _floats_around(lo, 16) + _floats_around(hi, 16):
+                    assert ppt_closed_form(qn, ratio).detected == (not lo <= ratio <= hi), \
+                        (qn, ratio)
+
+
+@pytest.mark.parametrize("n", [10 ** 15, 10 ** 19, 10 ** 30])
+def test_blind_band_of_one_float(n):
+    # At l = m = n - 1 the exact band is narrower than a few ulps; here one
+    # float is not detected, and its neighbours are.
+    qn = QuantumNumbers(n, n - 1, n - 1)
+    lo, hi = blind_band_edges(qn)
+    assert lo == hi
+    below, at, above = _floats_around(lo, 1)
+    assert [ppt_closed_form(qn, r).detected for r in (below, at, above)] == [True, False, True]
 
 
 def test_inside_blind_band_not_detected():
