@@ -7,8 +7,8 @@ propagate; main turns either into a usage error, exit 2, with the
 exception's message, through the subcommand's own parser.
 
 Importing this module loads no numpy, so ppt, schmidt and --version run
-without it.  map loads it in detection_map and _write_map, linent inside
-the library calls it makes, and verify when it imports its sweeps.
+without it.  map loads it in detection_map and maptext.write_map, linent
+inside the library calls it makes, and verify when it imports its sweeps.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import argparse
 import functools
 import math
 import sys
-from itertools import chain, repeat
 
 from . import __version__
 from .free_schmidt import CONVENTION_FACTOR, schmidt_spread
-from .gaussian_ppt import DetectionMap, detection_map, ppt_closed_form
+from .gaussian_ppt import detection_map, ppt_closed_form
 from .linear_entropy import linear_entropy
 from .states import QuantumNumbers
 
@@ -90,66 +89,17 @@ def cmd_ppt(args) -> int:
     return EXIT_OK if verdict.detected else EXIT_NOT_DETECTED
 
 
-def _write_map(grid: DetectionMap, fmt: str, stream) -> None:
-    """Write the map one a0 value at a time: one stream.write of its points
-    rows, b inner, so memory is O(points) in either format.
-
-    The distinct nu columns are k = 4 (nu1, nu2, nu5, nu6), or k = 2 where
-    nu5 and nu6 repeat nu1 and nu2 bit for bit, as they do when the x and z
-    axes coincide; min_nu is bit for bit one of them, found by argmin, and
-    takes its text.  Each distinct float is formatted once.
-
-    CSV floats are format(v, ".17g"), so every value round trips.
-    csvmap.write_csv makes those bytes in numpy, a block of rows at a time:
-    Dekker's exact two-product gives v * 10^s as p + err, and the half-even
-    rounding of p + err to 17 digits is d = p + rint(err), since there p is
-    an even integer and |err| <= 8.  A value below 1e-4 or from 1e16 on,
-    which every value that %g writes with an exponent is, or one that the
-    exact checks on p + err and d refuse, takes Python's %.17g; see that
-    module.  JSON floats are float.__repr__, as json.dumps writes them, in
-    json.dumps(rows, indent=2) layout: the shortest text that round trips is
-    not a fixed number of digits, so a row's distinct columns are formatted
-    by one %-format of a %r template and split.
-    """
-    import numpy as np
-
-    points = len(grid.b)
-    if np.array_equal(grid.nu1, grid.nu5) and np.array_equal(grid.nu2, grid.nu6):
-        cols, pick = (grid.nu1, grid.nu2), (0, 1, 0, 1)
-    else:
-        cols, pick = (grid.nu1, grid.nu2, grid.nu5, grid.nu6), (0, 1, 2, 3)
-    header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
-    if fmt == "csv":
-        from .csvmap import write_csv
-        stream.write(",".join(header) + "\n")
-        write_csv(grid, cols, pick, stream)
-        return
-    template = "\n".join(["%r"] * (len(cols) * points))
-    b = [repr(v) for v in grid.b.tolist()]
-    stream.write("[\n")
-    rows = ("  {\n" + ",\n".join(f'    "{key}": %s' for key in header) + "\n  },\n") * points
-    for i, a0 in enumerate(grid.a0.tolist()):
-        nu = np.stack([c[i] for c in cols])
-        text = (template % tuple(nu.ravel().tolist())).split("\n")
-        low = (nu.argmin(axis=0) * points + np.arange(points)).tolist()
-        cells = zip(repeat(repr(a0), points), b,
-                    *[text[c * points:(c + 1) * points] for c in pick],
-                    [text[t] for t in low], [("0", "1")[d] for d in grid.detected[i].tolist()])
-        block = rows % tuple(chain.from_iterable(cells))
-        if i == points - 1:
-            block = block[:-2] + "\n]\n"  # no comma after the last object
-        stream.write(block)
-
-
 def cmd_map(args) -> int:
+    from .maptext import write_map
+
     grid = detection_map(QuantumNumbers(args.n, args.l, args.m), (args.a0_min, args.a0_max),
                          (args.b_min, args.b_max), args.points)
     if args.output is None:
-        _write_map(grid, args.format, sys.stdout)
+        write_map(grid, args.format, sys.stdout)
         return EXIT_OK
     try:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            _write_map(grid, args.format, fh)
+            write_map(grid, args.format, fh)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -41,8 +41,7 @@ def schmidt_spread(qn: QuantumNumbers, a0: float, hbar: float = 1.0) -> SchmidtS
     positive normal float: 0 or subnormal where n a0 is huge, inf where a0
     is tiny or hbar huge.
     """
-    _check_positive("a0", a0)
-    _check_positive("hbar", hbar)
+    a0, hbar = _check_positive("a0", a0), _check_positive("hbar", hbar)
     try:
         delta_k = CONVENTION_FACTOR / (qn.n * a0)
     except OverflowError:  # n too large for a float: delta_k underflows

@@ -37,7 +37,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .moments import _RATIO_RANGE, com_moments, relative_moments
+from .moments import _RATIO_RANGE, CACHED_STATES, com_moments, relative_moments
 from .states import QuantumNumbers
 
 
@@ -119,12 +119,12 @@ def _particle_block(q: int, qb: int, p: int, pb: int, X: int, Xb: int, P: int,
     return X + q, P + p, X - q, P - p, e
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_STATES)
 def _split_axes(qn: QuantumNumbers) -> tuple[tuple[int, int, int, int, int], ...]:
     """(q, qb, p, pb, count) for each distinct axis (<q^2>, <p^2>) of
     relative_moments(qn): both variances split by _split, and how many of the
     three axes share them.  The key is the values, so no symmetry is assumed.
-    Cached per state."""
+    Cached, as relative_moments is, for the last CACHED_STATES states."""
     x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
     count = {}
     for axis in ((x2, px2), (y2, py2), (z2, pz2)):

@@ -35,7 +35,7 @@ def _checked(evaluate, name: str, qn: QuantumNumbers, a0: float, x, x_name: str)
     """
     import numpy as np
 
-    _check_positive("a0", a0)
+    a0 = _check_positive("a0", a0)
     x = np.asarray(x, dtype=float)
     if not np.all((0 <= x) & (x < math.inf)):
         raise ValueError(f"{x_name} must be finite and >= 0")

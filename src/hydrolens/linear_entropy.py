@@ -97,7 +97,7 @@ def radial_sum(n: int, l: int, a0: float = 1.0) -> float:
     import numpy as np
 
     qn = QuantumNumbers(n, l)
-    _check_positive("a0", a0)
+    a0 = _check_positive("a0", a0)
     nodes = 2 * n + 1
     theta = np.arange(1, nodes + 1) * (math.pi / (nodes + 1))
     x, s = np.cos(theta), np.sin(theta)

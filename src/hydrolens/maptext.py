@@ -1,9 +1,19 @@
-"""The detection map's CSV rows, each float's %.17g text made in bulk by numpy.
+"""The detection map's text, CSV or JSON: write_map, one block loop for both.
 
-format(v, ".17g") rounds v correctly to 17 significant digits, ties to
-even, and writes d * 10^(k - 16), d a 17-digit integer, as a plain decimal
-when -4 <= k <= 16, trailing zeros dropped.  _slots makes those bytes for a
-block of values at once, for each v in [1e-4, 1e16):
+Each piece of a row's text is a slot, three uint64 words whose little-endian
+bytes are the text and zero padding: a float's text and its ",", or a
+constant (a JSON key, the end of a row).  Each distinct float is formatted
+once: each b once per map, each a0 once per row, and of the nu columns only
+nu1 and nu2 where nu5 and nu6 repeat them bit for bit (the x and z axes
+coincide); min_nu is one of them, found by argmin, and takes its slot.
+
+JSON floats are float.__repr__, as json.dumps writes them, in
+json.dumps(rows, indent=2) layout; a positive float's repr has at most 23
+bytes.  CSV floats are format(v, ".17g"), so every value round trips.  It
+rounds v correctly to 17 significant digits, ties to even, and writes
+d * 10^(k - 16), d a 17-digit integer, as a plain decimal when
+-4 <= k <= 16, trailing zeros dropped.  _slots makes those bytes for a block
+of values at once, for each v in [1e-4, 1e16):
 
 - k = floor(log10 v) from np.log10 and s = 16 - k, so 0 <= s <= 21 and 10^s
   is an exact double.  Dekker's two-product gives v * 10^s = p + err
@@ -20,16 +30,14 @@ block of values at once, for each v in [1e-4, 1e16):
 
 A value outside [1e-4, 1e16), which every value that %.17g writes with an
 exponent is, one that log10 put a decade off (next to a power of ten), and
-one that rounds up to 10^17 take Python's "%.17g".  A slot is three uint64
-words whose little-endian bytes are the text, its separator and zero bytes.
-Only the CSV branch of cli._write_map imports this module.
+one that rounds up to 10^17 take Python's "%.17g".
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Grid cells per block: a block takes about 1 kB per cell at its peak.
+# Grid cells per block, about 1 kB each (1.3 kB in JSON) at a block's peak.
 BLOCK_CELLS = 512
 _POW10 = np.array([float(10**s) for s in range(22)])  # exact doubles
 
@@ -44,10 +52,9 @@ def _halves(x):
 def _words(rows):
     """Byte strings of up to 24 bytes as rows of three uint64 words, each
     word's bytes in little-endian order, zero padded."""
-    data = b"".join(r.ljust(24, b"\0") for r in rows)
-    if len(data) != 24 * len(rows):
+    if max(map(len, rows), default=0) > 24:
         raise ValueError("a slot holds at most 24 bytes")
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(-1, 3)
+    return np.array(rows, dtype="S24").view("<u8").astype(np.uint64).reshape(-1, 3)
 
 
 _POW10_HALVES = _halves(_POW10)
@@ -73,8 +80,6 @@ _LOW = _words([b"\xff" * max(k + 1, 0) for k in range(-5, 17)]).T.copy()
 _INSERT = _words([b"\0" * (k + 1) + b"." if k >= 0 else b"0." + b"0" * (-k - 1)
                   for k in range(-5, 17)]).T.copy()
 _SHIFT = np.array([8 * max(1, 1 - k) for k in range(-5, 17)], dtype=np.uint64)
-# The last field of a row: detected, 0 or 1.
-_DETECTED = _words([b"0\n", b"1\n"])
 
 
 def _rounded(x):
@@ -143,35 +148,66 @@ def _slots(values):
     return slots
 
 
-def write_csv(grid, cols, pick, stream) -> None:
-    """Write the map's CSV rows, one stream.write per a0 value, BLOCK_CELLS
-    cells or one a0 value at a time.
+def _reprs(values):
+    """float.__repr__ of each float in values, and its ",", as slots."""
+    v = np.ravel(values).tolist()
+    return _words(("%r,\n" * len(v) % tuple(v)).encode().split(b"\n")[:-1])
 
-    cols are the distinct nu columns, and pick names the one that each of
-    nu1, nu2, nu5 and nu6 repeats.  b is formatted once for the map, and each
-    block's a0 and nu values by one _slots call; every cell's eight slots are
-    gathered by one take, and their nonzero bytes are the block's text."""
-    points, k = len(grid.b), len(cols)
+
+_HEADER = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
+# Per format: the text before the first row, the slots of a block of floats,
+# and the constant slots: the keys, one before each field (none in CSV), then
+# detected's, 0 and 1, that end a row, and the two that end the last row.
+_FORMATS = {
+    "csv": (",".join(_HEADER) + "\n", _slots, _words([b"0\n", b"1\n"] * 2)),
+    "json": ("[\n", _reprs, _words([b'  {\n    "a0": ']
+                                   + [b'\n    "%s": ' % key.encode() for key in _HEADER[1:]]
+                                   + [b"0\n  },\n", b"1\n  },\n", b"0\n  }\n]\n", b"1\n  }\n]\n"])),
+}
+
+
+def write_map(grid, fmt: str, stream) -> None:
+    """Write detection_map's grid as fmt, "csv" or "json": the header, then
+    one stream.write per a0 value of its points rows, b inner.  A block of
+    BLOCK_CELLS cells, or one a0 value, is held at a time: its a0 and nu are
+    formatted by one call, its cells' slots gathered by one take, and their
+    nonzero bytes are its text."""
+    head, floats, const = _FORMATS[fmt]
+    keys = len(const) - 4  # the keys come before the four row ends
+    points = len(grid.b)
+    same = np.array_equal(grid.nu1, grid.nu5) and np.array_equal(grid.nu2, grid.nu6)
+    pick = (0, 1, 0, 1) if same else (0, 1, 2, 3)  # the column that nu1, nu2, nu5, nu6 take
+    cols = (grid.nu1, grid.nu2, grid.nu5, grid.nu6)[:max(pick) + 1]
     rows = max(1, BLOCK_CELLS // points)
-    fixed = np.concatenate((_slots(grid.b), _DETECTED))
+    # The keys, the row ends and b, then from f0 each block's a0 and nu.
+    fixed = np.concatenate((const, floats(grid.b)))
+    f0 = len(fixed)
+    # Newlines per a0 value: a cell's are those of the keys and a row end.
+    step = np.count_nonzero(const[:keys + 1].view(np.uint8) == 10) * points
+    stream.write(head)
     for r0 in range(0, points, rows):
         r1 = min(r0 + rows, points)
         n = r1 - r0
         nu = np.stack([c[r0:r1] for c in cols], axis=1)  # [i, c, j]
-        slots = np.concatenate((fixed, _slots(np.concatenate((grid.a0[r0:r1], nu.ravel())))))
-        # The row of slots of each cell's a0, b, nu1, nu2, nu5, nu6, min_nu
-        # and detected.
-        index = np.empty((n, points, 8), dtype=np.intp)
-        index[:, :, 0] = np.arange(points + 2, points + 2 + n)[:, None]
-        index[:, :, 1] = np.arange(points)
-        cell = np.arange(points + 2 + n, len(slots), k * points)[:, None] + np.arange(points)
+        slots = np.concatenate((fixed, floats(np.concatenate((grid.a0[r0:r1], nu.ravel())))))
+        # Each cell's slots: a0, b, nu1, nu2, nu5, nu6, min_nu and detected,
+        # each after its key where there are keys.
+        index = np.empty((n, points, len(_HEADER) + keys), dtype=np.intp)
+        field = index[:, :, 1::2] if keys else index
+        if keys:
+            index[:, :, ::2] = np.arange(keys)
+        field[:, :, 0] = np.arange(f0, f0 + n)[:, None]
+        field[:, :, 1] = np.arange(f0 - points, f0)
+        cell = np.arange(f0 + n, len(slots), len(cols) * points)[:, None] + np.arange(points)
         for f, c in enumerate(pick):
-            index[:, :, 2 + f] = cell + c * points
-        index[:, :, 6] = cell + nu.argmin(axis=1) * points
-        index[:, :, 7] = points + grid.detected[r0:r1]
+            field[:, :, 2 + f] = cell + c * points
+        field[:, :, 6] = cell + nu.argmin(axis=1) * points
+        field[:, :, 7] = keys + grid.detected[r0:r1]
+        if r1 == points:
+            field[-1, -1, 7] += 2  # the map's last row
         text = slots.take(index.ravel(), axis=0).astype("<u8", copy=False).view(np.uint8)
         text = text[text != 0]
-        ends = (np.flatnonzero(text == 10)[points - 1::points] + 1).tolist()
+        cuts = (np.flatnonzero(text == 10)[step - 1:(n - 1) * step:step] + 1).tolist()
         text = text.tobytes().decode("ascii")
-        for start, end in zip([0, *ends], ends):
-            stream.write(text[start:end])
+        for start, stop in zip([0, *cuts], [*cuts, None]):
+            stream.write(text[start:stop])

@@ -25,9 +25,12 @@ from .states import QuantumNumbers
 # The a0/b on which both centre-of-mass variances, and the nu built from them
 # for any n below 1e20, are normal floats.  NaN and +-inf fall outside it.
 _RATIO_RANGE = (1e-100, 1e100)
+# The states that each per-state cache keeps, here and in gaussian_ppt: more
+# than the 650 of n <= 12, and a bound on a long process's memory.
+CACHED_STATES = 4096
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_STATES)
 def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, float, float]:
     """Dimensionless (x2, y2, z2, px2, py2, pz2) for the relative coordinate.
 
@@ -39,10 +42,10 @@ def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, fl
     variances likewise against <k^2>.  Each variance is one ratio of exact
     ints, divided by int / int true division, which rounds the exact quotient
     once: the correctly rounded float, as float(Fraction(...)) gives it.
-    Cached per state; a fresh but equal QuantumNumbers hits the same entry,
-    as it hashes and compares as a tuple.  Where <x^2> or <z^2>, which reach
-    (5/6) n^4 at l = 0, leaves the float range (from n = 1.21e77 at l = 0),
-    raises OverflowError naming (n, l, m).
+    Cached for the last CACHED_STATES states; a fresh but equal
+    QuantumNumbers hits the same entry, as it hashes and compares as a tuple.
+    Where <x^2> or <z^2>, which reach (5/6) n^4 at l = 0, leaves the float
+    range (from n = 1.21e77 at l = 0), raises OverflowError naming (n, l, m).
     """
     # By name, not by unpacking: a plain tuple is not a validated state.
     n, l, m = qn.n, qn.l, qn.m

@@ -230,7 +230,7 @@ def integrate_momentum(f: Callable[[np.ndarray], np.ndarray], n: int,
     of it through the adaptive Gauss-Legendre error test, which assumes none.
     a0 must be finite and positive.
     """
-    _check_positive("a0", a0)
+    a0 = _check_positive("a0", a0)
     unit = 1.0 / (n * a0)
 
     def g(phi: np.ndarray) -> np.ndarray:
@@ -301,7 +301,7 @@ def bessel_transform_radial(qn: QuantumNumbers, a0: float, k: float) -> float:
     oscillation period pi/k when k dominates the decay scale.  a0 must be
     finite and positive, and k finite and >= 0.
     """
-    _check_positive("a0", a0)
+    a0 = _check_positive("a0", a0)
     if not 0.0 <= k < math.inf:
         raise ValueError(f"wavevector must be finite and >= 0, got {k}")
     l = qn.l

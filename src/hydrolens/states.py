@@ -20,9 +20,20 @@ import numbers
 from collections import namedtuple
 
 
-def _check_positive(name: str, value: float) -> None:
+def _check_positive(name: str, value) -> float:
+    """value as a Python float, so that a numpy scalar computes as the float
+    does; ValueError naming the parameter unless it is finite and positive."""
+    if type(value) is not float:
+        if isinstance(value, (str, bytes)):  # float() would parse them
+            raise TypeError(f"{name} must be a number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(f"{name} must be finite and positive, got a value beyond the "
+                             f"float range") from None
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def _integer(name: str, value) -> int:

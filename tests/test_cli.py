@@ -18,6 +18,7 @@ from hydrolens import cli, verify
 from hydrolens.gaussian_ppt import detection_map, ppt_closed_form
 from hydrolens.hydrogenic import QuantumNumbers, radial_momentum
 from hydrolens.linear_entropy import linear_entropy
+from hydrolens.maptext import write_map
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 # sha256sum line of `hydrolens map --n 7 --l 3 --m 1 --points 256` as CSV.
@@ -30,11 +31,14 @@ GOLDEN_JSON_SHA = pathlib.Path(__file__).parent / "golden" / "map_json_64x64.sha
 WIDE_ARGS = ("map", "--n", "9", "--l", "4", "--m", "-2", "--a0-min", "1e-30", "--a0-max", "1e30",
              "--b-min", "3e-30", "--b-max", "2e29", "--points", "64")
 GOLDEN_WIDE_SHA = pathlib.Path(__file__).parent / "golden" / "map_wide_64x64.sha256"
+# sha256sum line of the same map as JSON: an anisotropic state, so all four nu
+# columns are written, over several blocks of cells.
+GOLDEN_WIDE_JSON_SHA = pathlib.Path(__file__).parent / "golden" / "map_wide_json_64x64.sha256"
 
 
 def run_cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "hydrolens.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hydrolens.cli", *args],
         capture_output=True, text=True)
 
 
@@ -413,6 +417,13 @@ def test_map_wide_64_matches_committed_sha256(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
+def test_map_wide_json_64_matches_committed_sha256(tmp_path):
+    out = tmp_path / "map_wide.json"
+    assert cli.main([*WIDE_ARGS, "--format", "json", "--output", str(out)]) == 0
+    want = GOLDEN_WIDE_JSON_SHA.read_text().split()[0]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
 def _reference_map(qn, a0_range, b_range, points):
     """CSV and JSON text of the map, one row at a time from ppt_closed_form."""
     header = ("a0", "b", "nu1", "nu2", "nu5", "nu6", "min_nu", "detected")
@@ -460,7 +471,7 @@ def test_write_map_matches_row_by_row_reference(qn, a0_range, b_range, points):
     grid = detection_map(qn, a0_range, b_range, points)
     for fmt, want in zip(("csv", "json"), _reference_map(qn, a0_range, b_range, points)):
         out = io.StringIO()
-        cli._write_map(grid, fmt, out)
+        write_map(grid, fmt, out)
         assert out.getvalue() == want, fmt
 
 
@@ -478,7 +489,7 @@ def test_write_map_writes_one_a0_row_at_a_time(qn, fmt):
     points = 6
     grid = detection_map(qn, (0.5, 3.5), (0.5, 3.5), points)
     writes = _Writes()
-    cli._write_map(grid, fmt, writes)
+    write_map(grid, fmt, writes)
     assert len(writes) == points + 1
     if fmt == "csv":
         assert writes[0] == "a0,b,nu1,nu2,nu5,nu6,min_nu,detected\n"
@@ -504,10 +515,10 @@ def test_write_map_memory_does_not_grow_with_the_map(fmt):
     # The writer holds a block of rows at a time: a 512^2 map, whose columns
     # alone take 2 MB each, is written within 2 MB of allocations.
     grid = detection_map(QuantumNumbers(7, 3, 1), (0.5, 3.5), (0.5, 3.5), 512)
-    cli._write_map(grid, fmt, _Null())  # imports and caches outside the count
+    write_map(grid, fmt, _Null())  # imports and caches outside the count
     tracemalloc.start()
     try:
-        cli._write_map(grid, fmt, _Null())
+        write_map(grid, fmt, _Null())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

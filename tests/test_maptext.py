@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydrolens.csvmap import _slots
+from hydrolens.maptext import _reprs, _slots
 
 
-def _texts(values):
-    """The text of each slot, without its separator and padding."""
-    slots = _slots(values)
+def _texts(slots):
+    """The text of each slot, with its separator and without its padding."""
     return [row.astype("<u8").tobytes().rstrip(b"\0").decode("ascii") for row in slots]
 
 
 def _check(values):
-    assert _texts(values) == [format(v, ".17g") + "," for v in values]
+    assert _texts(_slots(values)) == [format(v, ".17g") + "," for v in values]
 
 
 def _ulps(x, k):
@@ -63,3 +62,12 @@ def test_slots_random_bulk():
                              rng.integers(10**15, 2**53 // 4, 2000) + 0.25,
                              rng.integers(1, 0x7FF0000000000000, 2000).view(np.float64)])
     _check(values.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1,
+                max_size=64))
+def test_reprs_match_repr(values):
+    # Among them the longest, 2.2250738585072014e-308, fills the slot.
+    values += [2.2250738585072014e-308, 1.7976931348623157e308, 5e-324, 1e16, 1e-5]
+    assert _texts(_reprs(values)) == [repr(v) + "," for v in values]

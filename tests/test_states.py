@@ -1,14 +1,18 @@
 """The contracts of the value types: validated tuples with fixed messages."""
 
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from hydrolens.free_schmidt import schmidt_spread
 from hydrolens.gaussian_ppt import _split_axes, detection_map, ppt_closed_form, ppt_numeric
+from hydrolens.hydrogenic import radial_momentum, radial_position
 from hydrolens.linear_entropy import linear_entropy
-from hydrolens.moments import relative_moments
+from hydrolens.moments import CACHED_STATES, relative_moments
+from hydrolens.oracle import bessel_transform_radial, integrate_momentum
 from hydrolens.states import QuantumNumbers
 
 
@@ -56,6 +60,70 @@ def test_fresh_equal_states_share_one_cache_entry():
     # misses the cache and is refused.
     with pytest.raises(AttributeError):
         relative_moments((2, 5, 0))
+
+
+def test_per_state_caches_stay_bounded():
+    states = [QuantumNumbers(n, l, m) for n in range(1, 25) for l in range(n)
+              for m in range(-l, l + 1)]
+    assert len(states) > CACHED_STATES
+    for qn in states:
+        relative_moments(qn)
+        _split_axes(qn)
+    for cache in (relative_moments, _split_axes):
+        info = cache.cache_info()
+        assert info.maxsize == CACHED_STATES and info.currsize <= info.maxsize
+
+
+_QN = QuantumNumbers(2, 1, 0)
+# Every function that takes a0 or hbar, through the one check they pass.
+_CALLS = {
+    "schmidt_spread": ("a0", lambda v: schmidt_spread(_QN, v)),
+    "schmidt_spread_hbar": ("hbar", lambda v: schmidt_spread(_QN, 1.0, v)),
+    "linear_entropy": ("a0", lambda v: linear_entropy(_QN, v)),
+    "radial_position": ("a0", lambda v: radial_position(_QN, v, 0.5)),
+    "radial_momentum": ("a0", lambda v: radial_momentum(_QN, v, 0.5)),
+    "integrate_momentum": ("a0", lambda v: integrate_momentum(lambda k: np.exp(-k), 2, v)),
+    "bessel_transform_radial": ("a0", lambda v: bessel_transform_radial(_QN, v, 0.7)),
+}
+_VALUES = {"float": 1.5, "int": 3, "float64": np.float64(0.75), "float32": np.float32(1.5),
+           "float32_tiny": np.float32(1e-30), "array_0d": np.array(2.0), "int_huge": 10**400,
+           "zero": 0, "negative": -1.0, "float32_zero": np.float32(0.0),
+           "array_0d_inf": np.array(np.inf)}
+
+
+def _fields(result):
+    """The float fields of a result, a float or a tuple with the state aside,
+    as (type, hex) pairs."""
+    return [(type(x), x.hex()) for x in (result if isinstance(result, tuple) else (result,))
+            if not isinstance(x, QuantumNumbers)]
+
+
+@pytest.mark.parametrize("name, call", _CALLS.values(), ids=_CALLS)
+@pytest.mark.parametrize("value", _VALUES.values(), ids=_VALUES)
+def test_a0_and_hbar_compute_as_python_floats(name, call, value):
+    # A numpy scalar or 0-d array, or an int, gives what the float call
+    # gives, bit for bit and in Python floats, or the ValueError that names
+    # the parameter.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            x = float(value)
+        except OverflowError:
+            x = None
+        if x is None or not 0 < x < math.inf:
+            with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+                call(value)
+            return
+        got = _fields(call(value))
+        assert got == _fields(call(x))
+    assert all(t is float for t, _ in got)
+
+
+@pytest.mark.parametrize("name, call", _CALLS.values(), ids=_CALLS)
+def test_a0_and_hbar_given_as_text_are_refused(name, call):
+    # float() would parse "1.5"; a number is asked for.
+    with pytest.raises(TypeError, match=f"^{name} must be a number, got '1.5'$"):
+        call("1.5")
 
 
 def test_fields_cannot_be_assigned():
