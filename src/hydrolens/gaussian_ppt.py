@@ -6,24 +6,25 @@ at 1, not hbar/2.  Entanglement is detected when a symplectic eigenvalue of
 the partial transpose is strictly below 1; exact equality classifies as not
 detected.
 
-All first moments and mixed products vanish, so the 12x12 covariance matrix
-is block-diagonal by axis: three two-mode Gaussians (x1, p1, x2, p2).  The
-six eigenvalues have a closed form in the ratio a0/b; it gives the point
-verdict, the detection map (the whole grid as columns) and the blind band.
-The one closed form runs on Python floats (math.sqrt) for a float ratio and
-on numpy arrays (np.sqrt) for a grid; both square roots are correctly
-rounded, so a point verdict and the map cell at the same ratio agree bit for
-bit.  Where a nu would overflow a float, both raise one OverflowError from
-_nu, naming the state and the ratio (a map's largest), and ppt_numeric the
-same message.  ppt_numeric is its independent oracle: it builds each axis's
-particle-basis block from the variances alone and takes the partially
-transposed spectrum from the invariants Delta and det sigma in exact integer
-arithmetic on one power-of-two scale, rounding each eigenvalue's quotient
-once.  It solves
+The 12x12 covariance is taken block-diagonal by axis, three two-mode
+Gaussians (x1, p1, x2, p2), as moments leaves out <x p_y> = -<y p_x> = m/2:
+exact for m = 0, while for m != 0 nu1 ... nu4 are the values of a model
+without the x-y coupling (nu5 and nu6 are exact).  The six eigenvalues have
+a closed form in the ratio a0/b; it gives the point verdict, the detection
+map (the whole grid as columns) and the blind band.  The one closed form
+runs on Python floats (math.sqrt) for a float ratio and on numpy arrays
+(np.sqrt) for a grid; both square roots are correctly rounded, so a point
+verdict and the map cell at the same ratio agree bit for bit.  Where a nu
+would overflow a float, both raise one OverflowError from _nu, naming the
+state and the ratio (a map's largest), and ppt_numeric the same message.
+ppt_numeric is its independent oracle: it builds each axis's particle-basis
+block from the variances alone and takes the partially transposed spectrum
+from the invariants Delta and det sigma in exact integer arithmetic on one
+power-of-two scale, rounding each eigenvalue's quotient once.  It solves
 each distinct axis block once: y always repeats x, and z does too for
-isotropic states.  The state's distinct axes are split into integer
-numerators and power-of-two scales once per state, cached like
-relative_moments, and the two centre-of-mass variances once per call.
+isotropic states.  One cache entry per state (_state) holds its
+relative_moments and its distinct axes split into integers.  The point
+queries take a ratio other than a float as a0 is taken (_as_float).
 
 A verdict is a namedtuple, (qn, a0_over_b, nu), built positionally in one
 tuple allocation.  numpy is imported only on the array paths,
@@ -34,11 +35,15 @@ verdict, ppt_numeric and the blind band load no numpy, and no dataclasses.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .moments import _RATIO_RANGE, CACHED_STATES, com_moments, relative_moments
-from .states import QuantumNumbers
+from .moments import _RATIO_RANGE, com_moments, relative_moments
+from .states import QuantumNumbers, _as_float
+
+# The states that the per-state cache keeps: more than the 650 of n <= 12,
+# and a bound on a long process's memory.
+CACHED_STATES = 4096
 
 
 class PPTVerdict(namedtuple("PPTVerdict", "qn a0_over_b nu")):
@@ -120,16 +125,15 @@ def _particle_block(q: int, qb: int, p: int, pb: int, X: int, Xb: int, P: int,
 
 
 @lru_cache(maxsize=CACHED_STATES)
-def _split_axes(qn: QuantumNumbers) -> tuple[tuple[int, int, int, int, int], ...]:
-    """(q, qb, p, pb, count) for each distinct axis (<q^2>, <p^2>) of
-    relative_moments(qn): both variances split by _split, and how many of the
-    three axes share them.  The key is the values, so no symmetry is assumed.
-    Cached, as relative_moments is, for the last CACHED_STATES states."""
-    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
-    count = {}
-    for axis in ((x2, px2), (y2, py2), (z2, pz2)):
-        count[axis] = count.get(axis, 0) + 1
-    return tuple((*_split(q2), *_split(p2), k) for (q2, p2), k in count.items())
+def _state(qn: QuantumNumbers):
+    """(relative_moments(qn), axes) for the last CACHED_STATES states; a fresh
+    but equal QuantumNumbers hits the same entry, as it hashes as a tuple.
+    axes holds (q, qb, p, pb, count) for each distinct axis (<q^2>, <p^2>):
+    both variances split by _split, and how many of the three axes share
+    them.  The key is the values, so no symmetry is assumed."""
+    moments = relative_moments(qn)
+    count = Counter(zip(moments[:3], moments[3:]))  # in axis order, x first
+    return moments, tuple((*_split(q2), *_split(p2), k) for (q2, p2), k in count.items())
 
 
 def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
@@ -138,16 +142,16 @@ def ppt_numeric(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
 
     Each distinct axis (<q^2>, <p^2>) is solved once and its pair repeated
     for the axes that share it; the state's axes are split once per state
-    (_split_axes) and the two centre-of-mass variances once per call.  The
+    (_state) and the two centre-of-mass variances once per call.  The
     partial transpose p2 -> -p2 flips the sign of c_p.  Uses nothing of the
     closed form beyond the twelve variances, so it is its oracle.  Where a
     nu overflows a float, raises _nu's OverflowError, naming the state and
     a0/b.
     """
-    axes = _split_axes(qn)
+    a0_over_b = a0_over_b if type(a0_over_b) is float else _as_float("a0/b ratio", a0_over_b)
+    axes = _state(qn)[1]
     X2, P2 = com_moments(a0_over_b)
-    X, Xb = _split(X2)
-    P, Pb = _split(P2)
+    (X, Xb), (P, Pb) = _split(X2), _split(P2)
     nu = []
     try:
         for q, qb, p, pb, k in axes:
@@ -165,9 +169,9 @@ def _nu(qn: QuantumNumbers, a0_over_b):
     nu_1 = sqrt(<x^2> <P_X^2>), nu_2 = 4 sqrt(<X^2> <p_x^2>), and likewise for
     the y (degenerate with x) and z pairs, with all variances dimensionless.
     a0_over_b may be a float or a numpy array; each nu has its shape.  A
-    scalar ratio, a numpy scalar too (com_moments takes it as its Python
-    float), makes X2 a float and takes math.sqrt, giving Python floats; an
-    array takes np.sqrt.  Both are correctly rounded square roots of the same
+    scalar ratio, which the point queries hand over as a Python float, makes
+    X2 a float and takes math.sqrt, giving Python floats; an array takes
+    np.sqrt.  Both are correctly rounded square roots of the same
     products, so each nu has the same bits either way.
 
     Raises OverflowError naming the state and the ratio, for an array its
@@ -176,7 +180,7 @@ def _nu(qn: QuantumNumbers, a0_over_b):
     ratio: one product at the largest P2, taken in Python floats before
     numpy multiplies, decides it, so numpy has no overflow to warn about.
     """
-    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    x2, y2, z2, px2, py2, pz2 = _state(qn)[0]
     X2, P2 = com_moments(a0_over_b)
     if isinstance(X2, float):
         sqrt, ratio, top = math.sqrt, a0_over_b, P2
@@ -192,6 +196,7 @@ def _nu(qn: QuantumNumbers, a0_over_b):
 
 def ppt_closed_form(qn: QuantumNumbers, a0_over_b: float) -> PPTVerdict:
     """Closed-form symplectic eigenvalues of the partial transpose at one ratio."""
+    a0_over_b = a0_over_b if type(a0_over_b) is float else _as_float("a0/b ratio", a0_over_b)
     return PPTVerdict(qn, a0_over_b, _nu(qn, a0_over_b))
 
 
@@ -240,18 +245,14 @@ def _edge(holds, r: float, outward: float, inward: float) -> float:
     """The last float from r towards outward at which holds(ratio) is true.
 
     holds is true on the inward side of one float and false beyond it; r is
-    within a few ulps of that float.  Ratios outside the range that
-    com_moments accepts, where no verdict exists, are not stepped into."""
+    within a few ulps of that float.  Steps inward while holds fails, then
+    outward while the next float holds; holds is called on no ratio outside
+    the range that com_moments accepts, where no verdict exists."""
     lo, hi = _RATIO_RANGE
-    if not lo <= r <= hi:
-        return r
-    if holds(r):
-        while lo <= (step := math.nextafter(r, outward)) <= hi and holds(step):
-            r = step
-        return r
-    r = math.nextafter(r, inward)
-    while not holds(r):
+    while lo <= r <= hi and not holds(r):
         r = math.nextafter(r, inward)
+    while lo <= (step := math.nextafter(r, outward)) <= hi and holds(step):
+        r = step
     return r
 
 
@@ -276,7 +277,7 @@ def blind_band_edges(qn: QuantumNumbers) -> tuple[float, float] | None:
     1e18, 1e20, 1e25).  An edge outside [1e-100, 1e100], where ppt_closed_form
     raises, is the rounded closed form.
     """
-    x2, y2, z2, px2, py2, pz2 = relative_moments(qn)
+    x2, y2, z2, px2, py2, pz2 = _state(qn)[0]
     lo = _edge(lambda r: min(_nu(qn, r)[0::2]) >= 1.0,
                math.sqrt(2.0 / min(x2, y2, z2)), 0.0, math.inf)
     hi = _edge(lambda r: min(_nu(qn, r)[1::2]) >= 1.0,

@@ -1,4 +1,5 @@
-"""The detection map's text, CSV or JSON: write_map, one block loop for both.
+"""The detection map's text, CSV or JSON: write_map, one block loop for both
+and one stream.write per block.
 
 Each piece of a row's text is a slot, three uint64 words whose little-endian
 bytes are the text and zero padding: a float's text and its ",", or a
@@ -168,10 +169,13 @@ _FORMATS = {
 
 def write_map(grid, fmt: str, stream) -> None:
     """Write detection_map's grid as fmt, "csv" or "json": the header, then
-    one stream.write per a0 value of its points rows, b inner.  A block of
-    BLOCK_CELLS cells, or one a0 value, is held at a time: its a0 and nu are
-    formatted by one call, its cells' slots gathered by one take, and their
-    nonzero bytes are its text."""
+    one stream.write per block, rows a0 outer and b inner.  A block is the
+    whole a0 values that fit in BLOCK_CELLS cells, or one, so it ends at a
+    row end and is all that is held at a time: its a0 and nu are formatted
+    by one call, its cells' slots gathered by one take, and their nonzero
+    bytes are its text.  Any other fmt is a ValueError."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"map format must be csv or json, got {fmt!r}")
     head, floats, const = _FORMATS[fmt]
     keys = len(const) - 4  # the keys come before the four row ends
     points = len(grid.b)
@@ -182,8 +186,6 @@ def write_map(grid, fmt: str, stream) -> None:
     # The keys, the row ends and b, then from f0 each block's a0 and nu.
     fixed = np.concatenate((const, floats(grid.b)))
     f0 = len(fixed)
-    # Newlines per a0 value: a cell's are those of the keys and a row end.
-    step = np.count_nonzero(const[:keys + 1].view(np.uint8) == 10) * points
     stream.write(head)
     for r0 in range(0, points, rows):
         r1 = min(r0 + rows, points)
@@ -193,9 +195,8 @@ def write_map(grid, fmt: str, stream) -> None:
         # Each cell's slots: a0, b, nu1, nu2, nu5, nu6, min_nu and detected,
         # each after its key where there are keys.
         index = np.empty((n, points, len(_HEADER) + keys), dtype=np.intp)
+        index[:, :, :2 * keys:2] = np.arange(keys)
         field = index[:, :, 1::2] if keys else index
-        if keys:
-            index[:, :, ::2] = np.arange(keys)
         field[:, :, 0] = np.arange(f0, f0 + n)[:, None]
         field[:, :, 1] = np.arange(f0 - points, f0)
         cell = np.arange(f0 + n, len(slots), len(cols) * points)[:, None] + np.arange(points)
@@ -206,8 +207,4 @@ def write_map(grid, fmt: str, stream) -> None:
         if r1 == points:
             field[-1, -1, 7] += 2  # the map's last row
         text = slots.take(index.ravel(), axis=0).astype("<u8", copy=False).view(np.uint8)
-        text = text[text != 0]
-        cuts = (np.flatnonzero(text == 10)[step - 1:(n - 1) * step:step] + 1).tolist()
-        text = text.tobytes().decode("ascii")
-        for start, stop in zip([0, *cuts], [*cuts, None]):
-            stream.write(text[start:stop])
+        stream.write(text[text != 0].tobytes().decode("ascii"))

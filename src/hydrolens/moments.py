@@ -4,33 +4,27 @@ All moments are computed and stored dimensionless: lengths in units of a0,
 momenta in units of hbar/a0.  Dimensionful values are obtained by multiplying
 by the appropriate powers of a0 and hbar/a0 at the boundary.
 
-First moments vanish identically by parity, and so do all mixed products
-(<x p_x> etc.), so in the relative and centre-of-mass coordinates the
-covariance matrix is diagonal and the variances below determine it.  Each
-relative-coordinate variance is a rational (Bethe & Salpeter 1957):
-a radial moment <r^2> or <k^2> times an angular factor f_perp or f_z, and
-it is rounded once, as one int / int true division.
+First moments vanish identically by parity, and so does every mixed product
+but one pair, <x p_y> = -<y p_x> = m hbar/2 (half of <L_z>), which this
+module leaves out.  The variances below therefore determine the covariance
+for m = 0, and for m != 0 they give a block-diagonal model that lacks that
+pair.  Each relative-coordinate variance is a rational (Bethe & Salpeter
+1957): a radial moment <r^2> or <k^2> times an angular factor f_perp or
+f_z, and it is rounded once, as one int / int true division.
 
 The module loads neither fractions nor numpy: com_moments takes a numpy
-array as it takes a float, and imports numpy only to name the offending
-entry of an array that fails the range check.
+array as it takes a float.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .states import QuantumNumbers
 
 # The a0/b on which both centre-of-mass variances, and the nu built from them
 # for any n below 1e20, are normal floats.  NaN and +-inf fall outside it.
 _RATIO_RANGE = (1e-100, 1e100)
-# The states that each per-state cache keeps, here and in gaussian_ppt: more
-# than the 650 of n <= 12, and a bound on a long process's memory.
-CACHED_STATES = 4096
 
 
-@lru_cache(maxsize=CACHED_STATES)
 def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, float, float]:
     """Dimensionless (x2, y2, z2, px2, py2, pz2) for the relative coordinate.
 
@@ -42,10 +36,9 @@ def relative_moments(qn: QuantumNumbers) -> tuple[float, float, float, float, fl
     variances likewise against <k^2>.  Each variance is one ratio of exact
     ints, divided by int / int true division, which rounds the exact quotient
     once: the correctly rounded float, as float(Fraction(...)) gives it.
-    Cached for the last CACHED_STATES states; a fresh but equal
-    QuantumNumbers hits the same entry, as it hashes and compares as a tuple.
-    Where <x^2> or <z^2>, which reach (5/6) n^4 at l = 0, leaves the float
-    range (from n = 1.21e77 at l = 0), raises OverflowError naming (n, l, m).
+    Not cached: gaussian_ppt's one per-state cache holds them.  Where <x^2>
+    or <z^2>, which reach (5/6) n^4 at l = 0, leaves the float range (from
+    n = 1.21e77 at l = 0), raises OverflowError naming (n, l, m).
     """
     # By name, not by unpacking: a plain tuple is not a validated state.
     n, l, m = qn.n, qn.l, qn.m
@@ -71,17 +64,13 @@ def com_moments(a0_over_b: float) -> tuple[float, float]:
 
     For a Python float or int the range check is two comparisons and an &
     on plain bools, and a rejected value names itself in the error message;
-    ok.all() runs only for numpy inputs, and numpy is imported, to find the
-    offending entry, only when such a check fails."""
+    ok.all() runs only for numpy inputs, and an array that fails names its
+    first offending entry, found by the mask ~ok."""
     if type(a0_over_b) is not float and getattr(a0_over_b, "shape", None) == ():
         a0_over_b = float(a0_over_b)
     lo, hi = _RATIO_RANGE
     ok = (a0_over_b >= lo) & (a0_over_b <= hi)
     if not (ok is True or (ok is not False and ok.all())):
-        if ok is False:  # a Python float or int: it is the offending value
-            bad = a0_over_b
-        else:
-            import numpy as np
-            bad = np.asarray(a0_over_b)[~np.asarray(ok)].flat[0]
+        bad = a0_over_b if ok is False else a0_over_b[~ok].flat[0]
         raise ValueError(f"a0/b ratio must lie in [{lo:g}, {hi:g}], got {bad}")
     return 0.5 / (a0_over_b * a0_over_b), 0.5 * a0_over_b * a0_over_b

@@ -1,5 +1,5 @@
-"""The state type every layer shares, QuantumNumbers, and the positivity
-check that every float parameter (a0, hbar) goes through.
+"""The state type every layer shares, QuantumNumbers, and the checks that
+every float parameter (a0, hbar, a point query's a0/b) goes through.
 
 A system enters only through its reduced Bohr radius a0, one float, so there
 is no parameter type.  QuantumNumbers is a validated tuple: a namedtuple
@@ -20,17 +20,28 @@ import numbers
 from collections import namedtuple
 
 
+def _as_float(name: str, value) -> float:
+    """value, one number, as a Python float, so that a numpy scalar or 0-d
+    array, an int, a Fraction or a Decimal computes as the float does.  A
+    str is a TypeError; an array that is not 0-d, a value beyond the float
+    range and anything else float() refuses are a ValueError naming it."""
+    if isinstance(value, (str, bytes)):  # float() would parse them
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        if getattr(value, "shape", ()) == ():
+            return float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        raise ValueError(f"{name} must be finite and positive, got a value beyond the "
+                         f"float range") from None
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} must be one real number, got {value!r}")
+
+
 def _check_positive(name: str, value) -> float:
-    """value as a Python float, so that a numpy scalar computes as the float
-    does; ValueError naming the parameter unless it is finite and positive."""
-    if type(value) is not float:
-        if isinstance(value, (str, bytes)):  # float() would parse them
-            raise TypeError(f"{name} must be a number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:  # an int beyond the float range
-            raise ValueError(f"{name} must be finite and positive, got a value beyond the "
-                             f"float range") from None
+    """value as a Python float (_as_float); ValueError naming the parameter
+    unless it is finite and positive."""
+    value = value if type(value) is float else _as_float(name, value)
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
     return value

@@ -18,7 +18,7 @@ from hydrolens import cli, verify
 from hydrolens.gaussian_ppt import detection_map, ppt_closed_form
 from hydrolens.hydrogenic import QuantumNumbers, radial_momentum
 from hydrolens.linear_entropy import linear_entropy
-from hydrolens.maptext import write_map
+from hydrolens.maptext import BLOCK_CELLS, write_map
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "map_16x16.csv"
 # sha256sum line of `hydrolens map --n 7 --l 3 --m 1 --points 256` as CSV.
@@ -483,31 +483,45 @@ class _Writes(list):
 
 @pytest.mark.parametrize("qn", [QuantumNumbers(7, 3, 1), QuantumNumbers(4, 3, 2)])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_write_map_writes_one_a0_row_at_a_time(qn, fmt):
-    # The header, then one write per a0 value holding its points rows, b
-    # inner: the writer holds O(points) strings at a time.
-    points = 6
-    grid = detection_map(qn, (0.5, 3.5), (0.5, 3.5), points)
-    writes = _Writes()
-    write_map(grid, fmt, writes)
-    assert len(writes) == points + 1
-    if fmt == "csv":
-        assert writes[0] == "a0,b,nu1,nu2,nu5,nu6,min_nu,detected\n"
-        for a0, block in zip(grid.a0.tolist(), writes[1:]):
-            rows = block.splitlines()
-            assert len(rows) == points and block.endswith("\n")
-            assert {float(row.split(",")[0]) for row in rows} == {a0}
-    else:
-        assert writes[0] == "[\n"
-        rows = json.loads("".join(writes))
-        for i, block in enumerate(writes[1:]):
-            assert block.count('"a0"') == points
-            assert {row["a0"] for row in rows[i * points:(i + 1) * points]} == {grid.a0[i]}
+def test_write_map_writes_one_block_at_a_time(qn, fmt):
+    # The header, then one write per block of whole a0 values, b inner, each
+    # ending at a row end: the map in one block at 6 points, and at 130
+    # points in blocks of BLOCK_CELLS // 130 = 3 a0 values, the last of one.
+    for points in (6, 130):
+        grid = detection_map(qn, (0.5, 3.5), (0.5, 3.5), points)
+        rows = max(1, BLOCK_CELLS // points)
+        writes = _Writes()
+        write_map(grid, fmt, writes)
+        assert len(writes) == 1 + -(-points // rows)
+        a0 = [grid.a0[i:i + rows].tolist() for i in range(0, points, rows)]
+        if fmt == "csv":
+            assert writes[0] == "a0,b,nu1,nu2,nu5,nu6,min_nu,detected\n"
+            for values, block in zip(a0, writes[1:]):
+                lines = block.splitlines()
+                assert len(lines) == len(values) * points and block.endswith("\n")
+                assert [float(line.split(",")[0]) for line in lines] == \
+                    [v for v in values for _ in range(points)]
+        else:
+            assert writes[0] == "[\n"
+            assert all(block.endswith("},\n") for block in writes[1:-1])
+            assert writes[-1].endswith("}\n]\n")
+            cells = json.loads("".join(writes))
+            assert [cell["a0"] for cell in cells] == np.repeat(grid.a0, points).tolist()
+            assert [block.count('"a0"') for block in writes[1:]] == \
+                [len(values) * points for values in a0]
 
 
 class _Null:
     def write(self, text):
         pass
+
+
+def test_write_map_refuses_an_unknown_format():
+    grid = detection_map(QuantumNumbers(1, 0, 0), (1.0, 2.0), (1.0, 2.0), 2)
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="^map format must be csv or json, got 'xml'$"):
+        write_map(grid, "xml", out)
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

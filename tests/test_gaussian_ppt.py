@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import hydrolens.gaussian_ppt as gaussian_ppt
 from hydrolens.gaussian_ppt import (
+    _edge,
     _particle_block,
     _split,
     _two_mode_nu,
@@ -287,6 +289,34 @@ def test_blind_band_of_one_float(n):
     assert [ppt_closed_form(qn, r).detected for r in (below, at, above)] == [True, False, True]
 
 
+def test_blind_band_edge_outside_the_ratio_range_is_its_closed_form():
+    # At n = 1e55, l = 0, lo = sqrt(2/<q^2>) is below 1e-100, where no verdict
+    # exists, so it is the unstepped closed form; hi is where the verdict flips.
+    qn = QuantumNumbers(10 ** 55, 0, 0)
+    lo, hi = blind_band_edges(qn)
+    assert (lo, hi) == (1.549193338482967e-110, 1.632993161855452e-55)
+    x2, *_ = relative_moments(qn)
+    assert lo == math.sqrt(2.0 / x2)
+    assert not ppt_closed_form(qn, hi).detected
+    assert ppt_closed_form(qn, math.nextafter(hi, math.inf)).detected
+
+
+@pytest.mark.parametrize("qn", [GROUND, QuantumNumbers(3, 2, 1), QuantumNumbers(7, 3, -2)])
+def test_edge_steps_in_from_the_failing_side(qn):
+    # From 5 ulps beyond each edge, where the verdict fails, _edge steps
+    # inward to the float where it flips: blind_band_edges' edge.
+    lo, hi = blind_band_edges(qn)
+    for edge, outward, inward, axis in ((lo, 0.0, math.inf, 0), (hi, math.inf, 0.0, 1)):
+        def holds(r):
+            return min(ppt_closed_form(qn, r).nu[axis::2]) >= 1.0
+
+        start = edge
+        for _ in range(5):
+            start = math.nextafter(start, outward)
+        assert not holds(start)
+        assert _edge(holds, start, outward, inward) == edge
+
+
 def test_inside_blind_band_not_detected():
     assert not ppt_closed_form(GROUND, 1.5).detected
     assert ppt_closed_form(GROUND, 1.0).detected
@@ -399,3 +429,82 @@ def test_numpy_scalar_ratio_is_its_python_float(qn, ratio):
             got, want = outcome(f, ratio), outcome(f, float(ratio))
             assert got == want
             assert all(type(v) is type(w) for v, w in zip(got, want))
+
+
+_RATIO_TYPES = {
+    "float": (1.5, 1.5), "int": (2, 2.0), "float64": (np.float64(1.5), 1.5),
+    "array_0d": (np.array(1.5), 1.5), "fraction": (Fraction(3, 2), 1.5),
+    "decimal": (Decimal("1.5"), 1.5),
+    "array_1": (np.array([1.5]),
+                (ValueError, "^a0/b ratio must be one real number, got array\\(\\[1.5\\]\\)$")),
+    "array_2": (np.array([1.5, 2.0]),
+                (ValueError, "^a0/b ratio must be one real number, got array\\(\\[1.5, 2. \\]\\)$")),
+    "str": ("1.5", (TypeError, "^a0/b ratio must be a number, got '1.5'$")),
+}
+
+
+@pytest.mark.parametrize("ratio, want", _RATIO_TYPES.values(), ids=_RATIO_TYPES)
+def test_point_queries_take_one_number_as_its_float(ratio, want):
+    # A ratio of any numeric type gives the verdict of its Python float, in
+    # Python floats; an array, even of one value, or a str is refused by name.
+    for f in (ppt_closed_form, ppt_numeric):
+        if isinstance(want, tuple):
+            with pytest.raises(want[0], match=want[1]):
+                f(GROUND, ratio)
+            continue
+        verdict = f(GROUND, ratio)
+        assert verdict == f(GROUND, want) and type(verdict.a0_over_b) is float
+        assert all(type(v) is float for v in verdict.nu)
+
+
+def _full_nu(qn, ratio, cross):
+    """The six symplectic eigenvalues of the partially transposed 12x12
+    particle covariance, ascending, by a float64 eigensolve with no block
+    assumption; with cross, the pair <x p_y> = -<y p_x> = m/2 is in it."""
+    q2, p2 = np.reshape(relative_moments(qn), (2, 3))
+    X2, P2 = com_moments(ratio)
+    # (X, x, P, p) per axis, in the factor-2 convention.
+    cov = np.diag(2.0 * np.ravel([(X2, q2[i], P2, p2[i]) for i in range(3)]))
+    if cross:
+        x, y, px, py = 1, 5, 3, 7
+        cov[x, py] = cov[py, x] = qn.m
+        cov[y, px] = cov[px, y] = -qn.m
+    # Per axis (x1, p1, x2, p2), with x1,2 = X +- x/2 and p1,2 = P/2 +- p.
+    to_particles = np.kron(np.eye(3), [[1, 0.5, 0, 0], [0, 0, 0.5, 1],
+                                       [1, -0.5, 0, 0], [0, 0, 0.5, -1]])
+    sigma = to_particles @ cov @ to_particles.T
+    flip = np.tile([1.0, 1.0, 1.0, -1.0], 3)  # p2 -> -p2
+    sigma = flip[:, None] * sigma * flip
+    omega = np.kron(np.eye(6), [[0.0, 1.0], [-1.0, 0.0]])
+    nu = np.sort(np.abs(np.linalg.eigvals(1j * omega @ sigma)))
+    return nu[::2]  # each value comes twice
+
+
+_FULL_RATIOS = (0.1, 0.3, 1.0, 1.5, 3.0, 10.0)
+_STATES_N7 = [QuantumNumbers(n, l, m) for n in range(1, 8) for l in range(n)
+              for m in range(-l, l + 1)]
+
+
+def test_full_covariance_without_the_cross_moment_is_the_closed_form():
+    for qn in _STATES_N7:
+        for ratio in _FULL_RATIOS:
+            want = sorted(ppt_closed_form(qn, ratio).nu)
+            np.testing.assert_allclose(_full_nu(qn, ratio, False), want, rtol=1e-10, atol=0)
+
+
+def test_full_covariance_is_the_closed_form_at_m_0():
+    # For m = 0 the cross moment vanishes, and the closed form is exact.
+    for qn in _STATES_N7:
+        if qn.m == 0:
+            for ratio in _FULL_RATIOS:
+                want = sorted(ppt_closed_form(qn, ratio).nu)
+                np.testing.assert_allclose(_full_nu(qn, ratio, True), want, rtol=1e-10, atol=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the closed form leaves out <x p_y> = m/2 (ROADMAP item X): "
+                          "nu_- is 0.78379, not 0.89443")
+def test_full_covariance_with_the_cross_moment_at_2p_plus_1():
+    qn = QuantumNumbers(2, 1, 1)
+    np.testing.assert_allclose(_full_nu(qn, 1.0, True), sorted(ppt_closed_form(qn, 1.0).nu),
+                               rtol=1e-10, atol=0)

@@ -26,9 +26,7 @@ def test_relative_moments_are_correctly_rounded():
     # Each variance is the float of its exact Fraction, bit for bit, for every
     # state with n <= 60 and three Rydberg states.  <cos^2 theta> comes from
     # the cos(theta) ladder Y_l^m -> Y_{l+1}^m, Y_{l-1}^m, an independent form
-    # of f_z; f_perp = <sin^2 theta>/2.  The uncached function runs, so the
-    # sweep leaves nothing in the cache.
-    moments = relative_moments.__wrapped__
+    # of f_z; f_perp = <sin^2 theta>/2.
     states = [(n, l, m) for n in range(1, 61) for l in range(n) for m in range(-l, l + 1)]
     states += [(100, 50, 0), (200, 0, 0), (200, 199, 199)]
     for n, l, m in states:
@@ -38,7 +36,7 @@ def test_relative_moments_are_correctly_rounded():
         r2 = Fraction(n * n * (5 * n * n + 1 - 3 * l * (l + 1)), 2)
         k2 = Fraction(1, n * n)
         expect = tuple(float(a * f) for a in (r2, k2) for f in (f_perp, f_perp, f_z))
-        assert moments(QuantumNumbers(n, l, m)) == expect, (n, l, m)
+        assert relative_moments(QuantumNumbers(n, l, m)) == expect, (n, l, m)
 
 
 def test_angular_integrals_match_quadrature():

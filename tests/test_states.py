@@ -8,10 +8,16 @@ import numpy as np
 import pytest
 
 from hydrolens.free_schmidt import schmidt_spread
-from hydrolens.gaussian_ppt import _split_axes, detection_map, ppt_closed_form, ppt_numeric
+from hydrolens.gaussian_ppt import (
+    CACHED_STATES,
+    _state,
+    detection_map,
+    ppt_closed_form,
+    ppt_numeric,
+)
 from hydrolens.hydrogenic import radial_momentum, radial_position
 from hydrolens.linear_entropy import linear_entropy
-from hydrolens.moments import CACHED_STATES, relative_moments
+from hydrolens.moments import relative_moments
 from hydrolens.oracle import bessel_transform_radial, integrate_momentum
 from hydrolens.states import QuantumNumbers
 
@@ -52,14 +58,15 @@ def test_quantum_numbers_are_validated_tuples():
 def test_fresh_equal_states_share_one_cache_entry():
     first, second = QuantumNumbers(97, 41, -7), QuantumNumbers(97, 41, -7)
     assert first is not second
-    moments, axes = relative_moments(first), _split_axes(first)
-    size = relative_moments.cache_info().currsize
-    assert relative_moments(second) is moments and _split_axes(second) is axes
-    assert relative_moments.cache_info().currsize == size
+    entry = _state(first)
+    size = _state.cache_info().currsize
+    assert _state(second) is entry
+    assert _state.cache_info().currsize == size
+    assert entry[0] == relative_moments(first)
     # A plain tuple is no validated state: one that no QuantumNumbers equals
     # misses the cache and is refused.
     with pytest.raises(AttributeError):
-        relative_moments((2, 5, 0))
+        _state((2, 5, 0))
 
 
 def test_per_state_caches_stay_bounded():
@@ -67,11 +74,9 @@ def test_per_state_caches_stay_bounded():
               for m in range(-l, l + 1)]
     assert len(states) > CACHED_STATES
     for qn in states:
-        relative_moments(qn)
-        _split_axes(qn)
-    for cache in (relative_moments, _split_axes):
-        info = cache.cache_info()
-        assert info.maxsize == CACHED_STATES and info.currsize <= info.maxsize
+        _state(qn)
+    info = _state.cache_info()
+    assert info.maxsize == CACHED_STATES and info.currsize <= info.maxsize
 
 
 _QN = QuantumNumbers(2, 1, 0)
