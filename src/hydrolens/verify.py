@@ -53,7 +53,7 @@ def verify_checks(n_max: int):
         n, l, m = qn.n, qn.l, qn.m
         if (n, l) not in r4:
             r4[n, l], _ = integrate_semi_infinite(
-                lambda r: r ** 4 * radial_position(qn, a0, r) ** 2, scale=n * n * a0)
+                lambda r: r ** 4 * radial_position(qn, a0, r) ** 2)
         if (l, m) not in ang:
             ang[l, m] = (
                 math.pi * integrate_theta(

@@ -580,26 +580,28 @@ def test_verify_momentum_normalization_catches_a_scaled_f_nl(monkeypatch):
 
 
 def test_verify_radial_integrals_converge_in_few_calls(monkeypatch):
-    # verify maps r = n^2 a0 t/(1-t), so each of its 78 int r^4 R^2 dr with
-    # n <= 12 converges within 7 integrand calls (11 under r = t/(1-t)).
+    # integrate_semi_infinite finds the scale of each of verify's 78
+    # int r^4 R^2 dr with n <= 12 with one probe call of the integrand, and
+    # converges in the one call more that evaluates the whole interval and the
+    # three bisection levels below it.
     exact = verify.integrate_semi_infinite
     calls = []
 
-    def counted(f, **kwargs):
+    def counted(f):
         calls.append(0)
 
         def g(r):
             calls[-1] += 1
             return f(r)
 
-        return exact(g, **kwargs)
+        return exact(g)
 
     monkeypatch.setattr(verify, "integrate_semi_infinite", counted)
     for name, ok in verify.verify_checks(12):
         assert ok, name
         if name == "second moments":
             break
-    assert len(calls) == 78 and max(calls) <= 7, (len(calls), max(calls))
+    assert len(calls) == 78 and max(calls) <= 2, (len(calls), max(calls))
 
 
 def test_verify_injected_failure(monkeypatch, capsys):

@@ -141,7 +141,7 @@ def test_momentum_matches_bessel_transform_magnitude():
 
 
 def test_rydberg_normalisation_and_moments():
-    # a0 = 1/n^2 keeps the scale the tangent map sees of order one.
+    # a0 = 1/n^2 puts the extent n^2 a0 of every state at 1.
     for qn in RYDBERG:
         n, l = qn.n, qn.l
         a0 = 1.0 / (n * n)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -37,10 +39,12 @@ HONEST_CASES = [
 ]
 
 
-def reference_integrate(spec):
+def reference_integrate(spec, opened=None):
     """The depth-first bisection that integrate's levels replace, calling the
     integrand once per node with a float.  Returns (value, error, splits,
-    depth), depth being the number of bisection levels it evaluated."""
+    depth), depth being the number of bisection levels it evaluated.  If
+    opened is a list, opened[k] ends up counting the panels at depth k (the
+    whole interval at 0) whose halves it evaluated."""
     nodes, weights = np.polynomial.legendre.leggauss(21)
 
     def panel(a, b):
@@ -56,6 +60,9 @@ def reference_integrate(spec):
     while stack:
         a, b, coarse, level = stack.pop()
         depth = max(depth, level)
+        if opened is not None:
+            opened += [0] * (level - len(opened))
+            opened[level - 1] += 1
         m = 0.5 * (a + b)
         left, right = panel(a, m), panel(m, b)
         delta = abs(left + right - coarse)
@@ -71,12 +78,21 @@ def reference_integrate(spec):
     return total, max(err, abs(total) * 1e-15), splits, depth
 
 
-def momentum_spec(f, n, a0):
-    """The QuadratureSpec that integrate_momentum(f, n, a0) hands to integrate."""
+def spec_of(oracle_integral, *args):
+    """The QuadratureSpec that oracle_integral(*args) hands to integrate."""
     seen = []
     with mock.patch("hydrolens.oracle.integrate", lambda spec: seen.append(spec) or (0.0, 0.0)):
-        integrate_momentum(f, n, a0)
+        oracle_integral(*args)
     return seen[0]
+
+
+def momentum_spec(f, n, a0):
+    """The QuadratureSpec that integrate_momentum(f, n, a0) hands to integrate."""
+    return spec_of(integrate_momentum, f, n, a0)
+
+
+# Bisection levels per integrand call: one, and integrate's default of three.
+LEVELS = (1, 3)
 
 
 def momentum_integrands(qn, a0):
@@ -116,9 +132,30 @@ def test_spec_validation():
             QuadratureSpec(lambda x: x, rel_tol=rel_tol)
     with pytest.raises(ValueError):
         QuadratureSpec(lambda x: x, max_subdivisions=0)
+    with pytest.raises(ValueError, match="at least one level"):
+        integrate(QuadratureSpec(lambda x: x), levels=0)
     for a, b in ((1.0, 1.0), (1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             QuadratureSpec(lambda x: x, a, b)
+
+
+def test_spec_refuses_an_interval_too_wide_for_floats():
+    # b - a overflows: refused at construction, not reported later as an
+    # interval too narrow for the panel rule.  So does a + b.
+    for a, b in ((-1e308, 1e308), (1e308, 1.7e308)):
+        with pytest.raises(ValueError, match=re.escape(f"overflows a float, got a={a}, b={b}")):
+            QuadratureSpec(lambda x: x, a, b)
+    assert math.isclose(integrate(QuadratureSpec(lambda x: np.ones_like(x), -8e307, 8e307))[0],
+                        1.6e308, rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("result", [lambda x: 1.0, lambda x: x[:-1], lambda x: x[:, None]])
+def test_integrand_of_the_wrong_shape_is_a_value_error(result):
+    # One value per node: the first call of three levels has 15 panels of 21.
+    with pytest.raises(ValueError, match=r"must return an array of shape \(315,\), one value per node"):
+        integrate(QuadratureSpec(result))
+    with pytest.raises(ValueError, match=r"shape \(401,\)"):
+        integrate_semi_infinite(result)
 
 
 def test_finite_polynomial_exact():
@@ -133,23 +170,38 @@ def test_semi_infinite_exponential():
     assert abs(val - 1.0) <= 10.0 * max(err, 1e-15)
 
 
-def test_semi_infinite_default_scale_is_the_plain_tangent_map():
-    # scale = 1.0 multiplies by one, exactly, so the default gives the bits of
-    # x = t/(1-t) with Jacobian 1/(1-t)^2.
-    for f in (lambda x: np.exp(-x),
-              lambda r: r ** 4 * radial_position(QuantumNumbers(7, 3), 1.0, r) ** 2):
-        plain = integrate(QuadratureSpec(lambda t: f(t / (1.0 - t)) / (1.0 - t) ** 2, 0.0, 1.0))
-        assert integrate_semi_infinite(f) == plain
-
-
 def test_semi_infinite_scale():
-    # int_0^inf e^(-x/c) dx = c for extents far from 1.
-    for c in (1e-3, 0.5, 144.0, 1e4):
-        val, _ = integrate_semi_infinite(lambda x: np.exp(-x / c), scale=c)
-        assert math.isclose(val, c, rel_tol=1e-13), c
-    for bad in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="scale"):
-            integrate_semi_infinite(lambda x: np.exp(-x), scale=bad)
+    # int_0^inf e^(-x/c) dx = c, with no scale given, for extents far from 1.
+    # A fixed scale of 1 would lose the mass between the nodes at c = 1e-30
+    # and fail to converge at c = 1e30.
+    for c in (1e-30, 1e-3, 0.5, 144.0, 1e4, 1e30):
+        val, _ = integrate_semi_infinite(lambda x: np.exp(-x / c))
+        assert math.isclose(val, c, rel_tol=1e-13), (c, val)
+
+
+def test_semi_infinite_radial_moments():
+    # int r^2 R^2 dr = 1 and int r^4 R^2 dr = n^2 (5 n^2 + 1 - 3 l (l + 1))/2
+    # for every (n, l) with n <= 12, a0 = 1.
+    for n in range(1, 13):
+        for l in range(n):
+            qn = QuantumNumbers(n, l)
+            norm, _ = integrate_semi_infinite(lambda r: r * r * radial_position(qn, 1.0, r) ** 2)
+            r2, _ = integrate_semi_infinite(lambda r: r ** 4 * radial_position(qn, 1.0, r) ** 2)
+            assert math.isclose(norm, 1.0, rel_tol=1e-13), (n, l, norm)
+            exact = n * n * (5 * n * n + 1 - 3 * l * (l + 1)) / 2.0
+            assert math.isclose(r2, exact, rel_tol=1e-13), (n, l, r2, exact)
+
+
+def test_semi_infinite_probe_warns_nothing():
+    # The probe evaluates the integrand from 2^-200 to 2^200, where x^4
+    # overflows and x^4 e^(-x) is inf * 0; none of numpy's warnings leak.
+    qn = QuantumNumbers(12, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, _ = integrate_semi_infinite(lambda x: x ** 4 * np.exp(-x))
+        assert math.isclose(val, 24.0, rel_tol=1e-13)
+        val, _ = integrate_semi_infinite(lambda r: r ** 4 * radial_position(qn, 1.0, r) ** 2)
+        assert math.isclose(val, 144.0 * (5 * 144 + 1 - 3 * 11 * 12) / 2.0, rel_tol=1e-13)
 
 
 def test_error_estimates_are_honest():
@@ -165,15 +217,16 @@ def test_error_estimates_are_honest():
 def test_non_convergence_raises_with_best_estimate():
     spec = QuadratureSpec(lambda x: np.sqrt(abs(x)), -1.0, 1.0,
                           rel_tol=1e-15, max_subdivisions=3)
-    with pytest.raises(QuadratureError) as exc_info:
-        integrate(spec)
-    assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-3)
+    for levels in LEVELS:
+        with pytest.raises(QuadratureError) as exc_info:
+            integrate(spec, levels=levels)
+        assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-3)
 
 
 def test_non_finite_integrand_raises_at_once():
     # A nan or infinite panel value is named at the level where it appears,
     # not reported as non-convergence after the whole subdivision budget.
-    for bad in (math.nan, math.inf, -math.inf):
+    for levels, bad in itertools.product(LEVELS, (math.nan, math.inf, -math.inf)):
         calls = []
 
         def f(x, bad=bad):
@@ -181,7 +234,7 @@ def test_non_finite_integrand_raises_at_once():
             return np.where(x > 0.5, bad, x)
 
         with pytest.raises(QuadratureError, match=r"not finite on \[0\.0, 1\.0\]: panel value"):
-            integrate(QuadratureSpec(f, 0.0, 1.0))
+            integrate(QuadratureSpec(f, 0.0, 1.0), levels=levels)
         assert len(calls) <= 2, bad
 
 
@@ -189,8 +242,8 @@ def test_matches_depth_first_reference():
     # Same panels accepted, same left-to-right sum: only the integrand's own
     # rounding on arrays against floats may differ.
     specs = [QuadratureSpec(f, a, b) for f, a, b, _ in HONEST_CASES] + list(mapped_specs())
-    for spec in specs:
-        val, err = integrate(spec)
+    for levels, spec in itertools.product(LEVELS, specs):
+        val, err = integrate(spec, levels=levels)
         ref_val, ref_err, _, _ = reference_integrate(spec)
         assert math.isclose(val, ref_val, rel_tol=1e-14), (val, ref_val)
         assert math.isclose(err, ref_err, rel_tol=1e-6, abs_tol=1e-15 * abs(val))
@@ -217,7 +270,8 @@ def test_polynomial_bit_for_bit_with_reference():
         spec = QuadratureSpec(from_roots([rng.uniform(-1.0, 1.0) for _ in range(degree)]))
         ref_val, ref_err, splits, depth = reference_integrate(spec)
         assert splits >= 3 and depth >= 3
-        assert integrate(spec) == (ref_val, ref_err)
+        for levels in LEVELS:
+            assert integrate(spec, levels=levels) == (ref_val, ref_err)
 
 
 def test_one_integrand_call_per_level():
@@ -229,12 +283,76 @@ def test_one_integrand_call_per_level():
             calls.append(x.size)
             return f(x)
 
-        integrate(QuadratureSpec(counted, spec.a, spec.b))
+        integrate(QuadratureSpec(counted, spec.a, spec.b), levels=1)
         _, _, splits, depth = reference_integrate(spec)
         assert len(calls) <= depth + 1
         # The same nodes as the reference: the whole interval, its halves, and
         # the halves of both halves of each split.
         assert sum(calls) == 21 * (3 + 4 * splits)
+
+
+def test_three_levels_per_integrand_call():
+    # The first call evaluates the whole interval and the three levels below
+    # it, 15 panels; each later one the 14 panels of the three levels below
+    # each panel still open at depth 3, 6, ...
+    specs = [QuadratureSpec(f, a, b) for f, a, b, _ in HONEST_CASES] + list(mapped_specs())
+    for spec in specs:
+        calls = []
+
+        def counted(x, f=spec.integrand):
+            calls.append(x.size)
+            return f(x)
+
+        integrate(QuadratureSpec(counted, spec.a, spec.b), levels=3)
+        opened = []
+        _, _, _, depth = reference_integrate(spec, opened)
+        assert len(calls) <= math.ceil(depth / 3) + 1
+        assert sum(calls) == 21 * (15 + 14 * sum(opened[3::3]))
+
+
+def test_nan_below_an_accepted_panel_raises_nothing():
+    # x^2 is exact on [0, 1], so the walk accepts the whole interval against
+    # its halves and never reads the quarters and eighths that a call of
+    # three levels evaluates with them.  A nan at the nodes of the eighth
+    # [0, 1/8] alone goes unread.
+    eighth = 0.0625 + 0.0625 * _GL_NODES
+    nans = []
+
+    def f(x):
+        bad = np.isin(x, eighth)
+        nans.append(int(bad.sum()))
+        return np.where(bad, np.nan, x * x)
+
+    one = integrate(QuadratureSpec(f, 0.0, 1.0), levels=1)
+    assert nans == [0]
+    assert integrate(QuadratureSpec(f, 0.0, 1.0), levels=3) == one
+    assert nans[1:] == [21]
+
+
+def test_look_ahead_stops_above_panels_too_narrow_for_the_rule():
+    # [1, 1 + 1000 ulp]: its halves and quarters (250 ulps) are wide enough
+    # for the rule's nodes, its eighths (125 ulps) are not.  A call of three
+    # levels falls back to two, and then raises, or not, as one level does.
+    a, b = 1.0, 1.0 + 1000 * math.ulp(1.0)
+    assert len(_panels(lambda x: x, [a], [b], 4)) == 3
+    kink = a + 333 * math.ulp(1.0)
+    for f, raises in ((lambda x: x - 1.0, False), (lambda x: np.abs(x - kink), True)):
+        outcomes = []
+        for levels in LEVELS:
+            calls = []
+
+            def counted(x, f=f):
+                calls.append(x.size)
+                return f(x)
+
+            try:
+                outcomes.append(integrate(QuadratureSpec(counted, a, b), levels=levels))
+            except QuadratureError as exc:
+                outcomes.append((str(exc), exc.best, exc.error))
+        assert calls[0] == 21 * 7  # the call of three levels: 1 + 2 + 4 panels
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0][0], str) == raises, outcomes
+    assert outcomes[0][0] == "panel too narrow to split after 2 subdivisions"
 
 
 def test_subdivision_budget_matches_reference():
@@ -244,18 +362,20 @@ def test_subdivision_budget_matches_reference():
     spec = QuadratureSpec(lambda x: np.sqrt(abs(x)), -1.0, 1.0)
     ref_val, _, splits, _ = reference_integrate(spec)
     enough = QuadratureSpec(spec.integrand, -1.0, 1.0, max_subdivisions=splits)
-    assert integrate(enough)[0] == ref_val
-    with pytest.raises(QuadratureError) as exc_info:
-        integrate(QuadratureSpec(spec.integrand, -1.0, 1.0, max_subdivisions=splits - 1))
-    assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-11)
-    assert exc_info.value.error > 0
+    for levels in LEVELS:
+        assert integrate(enough, levels=levels)[0] == ref_val
+        with pytest.raises(QuadratureError) as exc_info:
+            integrate(QuadratureSpec(spec.integrand, -1.0, 1.0, max_subdivisions=splits - 1),
+                      levels=levels)
+        assert math.isclose(exc_info.value.best, 4.0 / 3.0, rel_tol=1e-11)
+        assert exc_info.value.error > 0
 
 
 def test_panel_node_check_agrees_with_the_node_array():
     # Panels 1-64 ulps wide, whose outer nodes round onto an end, and 150-220
     # ulps wide, across the width at which they first lie strictly inside.
-    # The Python-float check must refuse a panel exactly when one of the 21
-    # nodes that numpy forms fails a < x < b, and then not call f.
+    # The check of the outer nodes must refuse a panel exactly when one of
+    # the 21 nodes that numpy forms fails a < x < b, and then not call f.
     outcomes = set()
     for x0 in (0.0, 0.5, 1.0 - 2.0 ** -20, math.pi):
         ulp = math.ulp(x0)
@@ -267,7 +387,7 @@ def test_panel_node_check_agrees_with_the_node_array():
                 inside = bool(((a < x) & (x < b)).all())
                 calls = []
                 got = _panels(lambda t: calls.append(t) or np.ones_like(t), [a, 0.0], [b, 1.0])
-                assert (got is not None) == inside, (x0, width, a, b)
+                assert bool(got) == inside, (x0, width, a, b)
                 assert len(calls) == inside
                 outcomes.add(inside)
     assert outcomes == {True, False}
@@ -280,13 +400,16 @@ def test_too_narrow_panel_raises_with_best_estimate():
     # has no such endpoint: under the half-angle map it is a trigonometric
     # polynomial, and it converges.
     qn = QuantumNumbers(1, 0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        val, _ = integrate_momentum(lambda k: k ** 6 * radial_momentum(qn, 1.0, k) ** 2, 1, 1.0)
-        assert math.isclose(val, 5.0, rel_tol=1e-13)
-        with pytest.raises(QuadratureError, match="too narrow") as exc_info:
-            integrate_semi_infinite(lambda r: (1.0 + r) ** -1.5)
-        assert math.isclose(exc_info.value.best, 2.0, rel_tol=1e-6)
+    k4 = momentum_spec(lambda k: k ** 6 * radial_momentum(qn, 1.0, k) ** 2, 1, 1.0)
+    tail = spec_of(integrate_semi_infinite, lambda r: (1.0 + r) ** -1.5)
+    for levels in LEVELS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, _ = integrate(k4, levels=levels)
+            assert math.isclose(val, 5.0, rel_tol=1e-13)
+            with pytest.raises(QuadratureError, match="too narrow") as exc_info:
+                integrate(tail, levels=levels)
+            assert math.isclose(exc_info.value.best, 2.0, rel_tol=1e-6)
 
 
 def test_half_angle_map_closed_forms():
@@ -399,6 +522,21 @@ def test_bessel_transform_rejects_a_bad_wavevector():
     for k in (-1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="wavevector"):
             bessel_transform_radial(QuantumNumbers(1, 0, 0), 1.0, k)
+
+
+@pytest.mark.parametrize("n", [-1, 0, math.inf, 2.5, 2.0, True, "2", None])
+def test_integrate_momentum_requires_a_positive_integer_n(n):
+    # n = -1 gave -0.886 for the positive int e^(-k^2) dk, n = inf (0.0, 0.0)
+    # and n = 0 a bare ZeroDivisionError.
+    with pytest.raises(ValueError, match=re.escape(f"got n={n!r}")):
+        integrate_momentum(lambda k: np.exp(-k * k), n, 1.0)
+
+
+def test_integrate_momentum_takes_a_numpy_integer_n():
+    f = lambda k: np.exp(-k * k)
+    assert integrate_momentum(f, np.int64(3), 1.0) == integrate_momentum(f, 3, 1.0)
+    assert math.isclose(integrate_momentum(f, 3, 1.0)[0], math.sqrt(math.pi) / 2.0,
+                        rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("a0", [0.0, -1.0, math.nan, math.inf])
