@@ -24,7 +24,11 @@ panels themselves are Python lists of floats, since a level holds only a
 few: numpy builds the node array, checks that the nodes lie inside their
 panels, makes the integrand call and weighs the values into panel sums, and
 everything else (the split points, accept or split, the left-to-right sum)
-is float arithmetic with the same bits.  integrate_semi_infinite maps
+is float arithmetic with the same bits.  The integrals of verify and the
+benchmark open the same few panel sets on [0, pi] and [0, 1] from one
+integrand to the next, so each set's ends and node array are built once and
+cached, read-only: an integrand receives its nodes as a read-only array.
+integrate_semi_infinite maps
 [0, inf) onto (0, 1) at a scale it finds with one probe call of its
 integrand.
 
@@ -35,6 +39,7 @@ downward below it), so the package needs nothing beyond numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,6 +71,10 @@ _GL_WEIGHTS = np.array((
     0.1087972991671484, 0.09344442345603395, 0.07610011362837911,
     0.05713442542685717, 0.03695378977085188, 0.01601722825777436,
 ))
+# integrate_semi_infinite's probe points, every power of two from 2^-200 to
+# 2^200; read-only, since they are handed to the caller's integrand.
+_PROBE = np.ldexp(1.0, np.arange(-200, 201))
+_PROBE.flags.writeable = False
 # Lower bound on the scale of the relative tolerance, for integrals that are 0.
 _ABS_FLOOR = 1e-300
 
@@ -83,8 +92,8 @@ class QuadratureError(ArithmeticError):
 
 @dataclass
 class QuadratureSpec:
-    """int_a^b integrand(x) dx.  The integrand maps a float array of nodes to
-    an array of the same shape."""
+    """int_a^b integrand(x) dx.  The integrand maps a read-only float array of
+    nodes to an array of the same shape."""
 
     integrand: Callable[[np.ndarray], np.ndarray]
     a: float = -1.0
@@ -132,22 +141,46 @@ def _panels(f, lo: list[float], hi: list[float], levels: int = 1) -> list[tuple]
     when the given panels are.  Values may be nan or infinite; integrate
     checks those it reaches.
 
+    The panels and their nodes come from _geometry, and f gets the node
+    array read-only.  numpy makes the one call of f and each panel's
+    h * sum(weights * values), so a panel's value has the bits of the same
+    rule worked on that panel alone, in whatever level or call it is
+    evaluated."""
+    tree, h, x = _geometry(tuple(lo), tuple(hi), levels)
+    if not tree:
+        return []
+    values = (h * (_GL_WEIGHTS * np.reshape(_call(f, x.ravel()), x.shape)).sum(axis=1)).tolist()
+    out, i = [], 0
+    for lo, hi in tree:
+        out.append((lo, hi, values[i:i + len(lo)]))
+        i += len(lo)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _geometry(lo: tuple, hi: tuple, levels: int) -> tuple:
+    """(tree, h, x) for _panels: tree the (lo, hi) tuples of each level kept,
+    h the half-width of each of their panels and x its 21 nodes, one row per
+    panel in level order, h and x read-only; ((), None, None) if the given
+    panels are too narrow.
+
     The panel ends are Python floats, split at 0.5 * (a + b) as integrate
-    splits them.  numpy does the rest on all levels at once: the midpoints
-    and half-widths, the node array, the check of its outer nodes (the nodes
-    ascend and rounding is monotone, so the outer two bound the rest), the
-    one call of f and each panel's h * sum(weights * values).  So a panel's
-    value has the bits of the same rule worked on that panel alone, in
-    whatever level or call it is evaluated."""
+    splits them.  numpy forms the midpoints and half-widths of all levels at
+    once, the node array and the check of its outer nodes (the nodes ascend
+    and rounding is monotone, so the outer two bound the rest).  The keys
+    compare equal only where their bits are, since integrate passes no -0.0.
+    verify --n-max 12 opens 5 distinct panel sets, the oracle_sweep
+    benchmark 6.  An entry costs about 0.2 kB per panel, so a level of a few
+    hundred open panels, which would not repeat, holds about a MB until it
+    is evicted."""
     tree = [(lo, hi)]
     for _ in range(levels - 1):
-        tree.append(_halves(*tree[-1]))
+        tree.append(tuple(map(tuple, _halves(*tree[-1]))))
     a = np.array([x for lo, _ in tree for x in lo])
     b = np.array([x for _, hi in tree for x in hi])
     h = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + h[:, None] * _GL_NODES
     inside = (x[:, 0] > a) & (x[:, -1] < b)
-    rows = len(a)
     if not inside.all():
         # Keep the levels above the first panel that is too narrow.
         first, rows, kept = int(inside.argmin()), 0, 0
@@ -156,14 +189,10 @@ def _panels(f, lo: list[float], hi: list[float], levels: int = 1) -> list[tuple]
             kept += 1
         del tree[kept:]
         if not tree:
-            return []
+            return (), None, None
         h, x = h[:rows], x[:rows]
-    values = (h * (_GL_WEIGHTS * np.reshape(_call(f, x.ravel()), x.shape)).sum(axis=1)).tolist()
-    out, i = [], 0
-    for lo, hi in tree:
-        out.append((lo, hi, values[i:i + len(lo)]))
-        i += len(lo)
-    return out
+    h.flags.writeable = x.flags.writeable = False
+    return tuple(tree), h, x
 
 
 def _check_finite(lo: list[float], hi: list[float], values: list[float], panels: list[int]):
@@ -224,7 +253,9 @@ def integrate(spec: QuadratureSpec, levels: int = 3) -> tuple[float, float]:
     if levels < 1:
         raise ValueError(f"need at least one level per integrand call, got {levels}")
     f = spec.integrand
-    tree = _panels(f, [float(spec.a)], [float(spec.b)], levels + 1)
+    # + 0.0 takes an end of -0.0 to 0.0, which gives the same nodes, so that
+    # _geometry's keys compare equal only where their bits are.
+    tree = _panels(f, [float(spec.a) + 0.0], [float(spec.b) + 0.0], levels + 1)
     if not tree:
         raise QuadratureError("interval too narrow for the panel rule", best=0.0, error=math.inf)
     lo, hi, coarse = tree[0]
@@ -285,12 +316,11 @@ def integrate_semi_infinite(f: Callable[[np.ndarray], np.ndarray]) -> tuple[floa
     scale of 1 would lose e^(-x/c) at c = 1e-30 between the nodes and fail to
     converge at c = 1e30.  The scale is a power of two, so x is scale times
     t/(1-t) exactly."""
-    probe = np.ldexp(1.0, np.arange(-200, 201))
     with np.errstate(all="ignore"):
-        mass = probe * np.abs(_call(f, probe))
+        mass = _PROBE * np.abs(_call(f, _PROBE))
     mass[~np.isfinite(mass)] = 0.0
     peak = int(np.argmax(mass))
-    scale = float(probe[peak]) if mass[peak] > 0.0 else 1.0
+    scale = float(_PROBE[peak]) if mass[peak] > 0.0 else 1.0
 
     def g(t: np.ndarray) -> np.ndarray:
         x = scale * t / (1.0 - t)
@@ -333,7 +363,7 @@ def integrate_theta(g: Callable[[float], float]) -> float:
     float, so it may be written with the math module."""
 
     def per_node(t: np.ndarray) -> np.ndarray:
-        return np.array([g(ti) for ti in t.tolist()])
+        return np.fromiter(map(g, t.tolist()), float, t.size)
 
     val, _ = integrate(QuadratureSpec(per_node, 0.0, math.pi), levels=1)
     return val
@@ -424,8 +454,8 @@ class RacahValue:
 
 def racah_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> RacahValue:
     """Brute-force single-sum Racah formula in plain Fraction arithmetic."""
-    if max(j1, j2, j3) > 20:
-        raise ValueError("oracle path is bounded to j <= 20")
+    if max(j1, j2, j3) > 40:
+        raise ValueError("oracle path is bounded to j <= 40")
     if abs(m1) > j1 or abs(m2) > j2 or abs(m3) > j3 or m1 + m2 + m3 != 0 \
             or not (abs(j1 - j2) <= j3 <= j1 + j2):
         return RacahValue(sign=0)

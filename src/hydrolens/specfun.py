@@ -4,8 +4,9 @@ One loop serves every angle: it runs on a mantissa and a power-of-two
 exponent, which stays 0, and so changes no bit, unless the seed underflows.
 
 Only the oracle side calls it: verify, the tests and perfbench, through
-oracle.integrate_theta, one node at a time.  So it works in Python floats
-and loads no numpy.
+oracle.integrate_theta, one node at a time at one (l, m).  So it works in
+Python floats and loads no numpy, and forms the recurrence's coefficients
+once per (l, |m|), kept for the last 16.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ def spherical_harmonic_sq(l: int, m: int, theta: float) -> float:
 
     for m = |m|.  No (l+m)! is formed, so no intermediate overflows at any
     l.  The seed's O(m) product depends on m alone, so it is cached per m,
-    one float each; the a_l are recomputed on every call, so a sweep to
-    large l holds nothing per (l, m).
+    one float each; the a_l depend on (l, |m|) alone, so _recurrence keeps
+    them for the last 16 (l, m), and a quadrature over theta, which calls
+    this once per node at one (l, m), forms them once.
 
     At large m the seed underflows inside the classically allowed region,
     where |Y|^2 is of order one.  So the recurrence runs on y with
@@ -54,20 +56,41 @@ def spherical_harmonic_sq(l: int, m: int, theta: float) -> float:
     itself, below sqrt((2l+1)/(4 pi)).  |Y|^2 is (y^2) 2^(2e), exactly y^2 at
     e = 0, and rounds to a subnormal or to 0 only where it is that small.
     """
-    if abs(m) > l:
-        raise ValueError(f"require |m| <= l, got l={l}, m={m}")
-    m = abs(m)
+    m, seed, steps = _recurrence(l, m)
     x, s = math.cos(theta), math.sin(theta)
-    y, e = _sectoral_seed(m) * s ** m, 0
+    y, e = seed * s ** m, 0
     if y < _TINY and -_TINY < y:
         y, e = _scaled_seed(m, s)
-    y_prev, a_prev = 0.0, 1.0
-    for k in range(m + 1, l + 1):
-        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
-        y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
+    y_prev = 0.0
+    for a, a_prev in steps:
+        y, y_prev = a * (x * y - y_prev / a_prev), y
         if e and not -_BIG < y < _BIG:
             y, y_prev, e = y * _SHRINK, y_prev * _SHRINK, e + _RESCALE
-    return math.ldexp(y * y, 2 * e)
+    return math.ldexp(y * y, 2 * e) if e else y * y
+
+
+@functools.lru_cache(maxsize=16)
+def _recurrence(l: int, m: int) -> tuple[int, float, tuple]:
+    """(|m|, _sectoral_seed(|m|), steps) for spherical_harmonic_sq, |m| an
+    int whatever integer type m has, so that the result is a float, and steps
+    the (a_k, a_{k-1}) of each step k = |m|+1 .. l, with a_|m| = 1.
+    Raises ValueError unless |m| <= l.  The entry for -m is the one for m.
+
+    An entry holds l - |m| steps of one tuple and one new float each, about
+    80 bytes a step: at l = 1000 at most 79 kB, and 1.3 MB for all 16."""
+    if abs(m) > l:
+        raise ValueError(f"require |m| <= l, got l={l}, m={m}")
+    if m < 0:
+        return _recurrence(l, -m)
+    # Collected in a list: tuple() of a zip, which has no length, allocates
+    # 10 slots and shrinks, so entry churn filled CPython's free lists of
+    # small tuples, about 1 MB of peak RSS over a benchmark run.
+    steps, a_prev = [], 1.0
+    for k in range(m + 1, l + 1):
+        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
+        steps.append((a, a_prev))
+        a_prev = a
+    return int(m), _sectoral_seed(m), tuple(steps)
 
 
 def _scaled_seed(m: int, s: float) -> tuple[float, int]:

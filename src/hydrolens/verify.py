@@ -74,14 +74,17 @@ def verify_checks(n_max: int):
             ok &= all(abs(a - b) <= 1e-13 * b for a, b in zip(numeric, closed))
     yield "eigenvalue pipeline", ok
 
+    # The radial purity once per (n, l), the angular one once per (l, m).
     ok = True
-    rad = {}
+    rad, purity = {}, {}
     for qn in states:
-        if (qn.n, qn.l) not in rad:
-            rad[qn.n, qn.l], _ = integrate_momentum(
-                lambda k: k * k * radial_momentum(qn, a0, k) ** 4, qn.n, a0)
-        ang = 2.0 * math.pi * integrate_theta(
-            lambda t: math.sin(t) * spherical_harmonic_sq(qn.l, qn.m, t) ** 2)
+        n, l, m = qn.n, qn.l, qn.m
+        if (n, l) not in rad:
+            rad[n, l], _ = integrate_momentum(
+                lambda k: k * k * radial_momentum(qn, a0, k) ** 4, n, a0)
+        if (l, m) not in purity:
+            purity[l, m] = 2.0 * math.pi * integrate_theta(
+                lambda t: math.sin(t) * spherical_harmonic_sq(l, m, t) ** 2)
         closed = linear_entropy(qn, a0).product
-        ok &= abs(rad[qn.n, qn.l] * ang - closed) <= 1e-12 * closed
+        ok &= abs(rad[n, l] * purity[l, m] - closed) <= 1e-12 * closed
     yield "linear entropy", ok

@@ -188,9 +188,9 @@ def test_criterion_8_linear_entropy():
 
 def test_criterion_9_wigner_3j_oracle_equivalence():
     # The angular purity rule against the exact rational Wigner 3-j sum
-    # (racah_3j), for every (l, m) with l <= 10.
+    # (racah_3j), for every (l, m) with l <= 11, as n <= 12 allows.
     ok = True
-    for l in range(0, 11):
+    for l in range(0, 12):
         for m in range(-l, l + 1):
             exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
             ok &= abs(angular_sum(l, m) - exact) <= 1e-15 * exact

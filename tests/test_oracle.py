@@ -18,6 +18,7 @@ from hydrolens.oracle import (
     QuadratureSpec,
     _GL_NODES,
     _GL_WEIGHTS,
+    _geometry,
     _panels,
     _spherical_jn,
     angular_purity_exact,
@@ -28,6 +29,7 @@ from hydrolens.oracle import (
     integrate_theta,
     racah_3j,
 )
+from hydrolens.specfun import spherical_harmonic_sq
 
 
 # (integrand, a, b, exact value)
@@ -393,6 +395,80 @@ def test_panel_node_check_agrees_with_the_node_array():
     assert outcomes == {True, False}
 
 
+def sweep_integrals(n, l, m, a0=1.0):
+    """The five integrals of an oracle_sweep op, each a call that returns its
+    value and error, or its value alone for the theta integral."""
+    qn = QuantumNumbers(n, l, m)
+    momentum = [lambda g=g: integrate_momentum(g, n, a0) for g in momentum_integrands(qn, a0)]
+    return [*momentum,
+            lambda: integrate_semi_infinite(lambda r: r * r * radial_position(qn, a0, r) ** 2),
+            lambda: (integrate_theta(lambda t: math.sin(t) * spherical_harmonic_sq(l, m, t) ** 2),)]
+
+
+def test_geometry_cache_keeps_the_bits_cold_and_warm():
+    # Each integral of an oracle_sweep op gives the same value and error from
+    # a cold geometry cache as from one that earlier integrals filled.
+    states = [(1, 0, 0), (2, 1, 1), (5, 3, -2), (7, 3, 1), (10, 7, 5), (12, 6, 0), (12, 11, -11)]
+    integrals = [g for state in states for g in sweep_integrals(*state)]
+    cold = []
+    for g in integrals:
+        _geometry.cache_clear()
+        cold.append([x.hex() for x in g()])
+    for g in integrals:
+        g()
+    hits = _geometry.cache_info().hits
+    warm = [[x.hex() for x in g()] for g in integrals]
+    assert _geometry.cache_info().hits > hits
+    assert warm == cold
+
+
+def test_integrand_cannot_write_the_nodes():
+    # The cached nodes and the semi-infinite probe reach integrands
+    # read-only: a write raises, and the next integral over the same panels
+    # or with the same probe keeps its bits.
+    def scribble(x):
+        x *= 2.0
+        return x
+
+    spec = QuadratureSpec(np.cos, 0.0, 1.0)
+    tail = lambda x: np.exp(-x)
+    _geometry.cache_clear()
+    want = [x.hex() for x in (*integrate(spec), *integrate_semi_infinite(tail))]
+    for bad in (lambda: integrate(QuadratureSpec(scribble, 0.0, 1.0)),
+                lambda: integrate_semi_infinite(scribble)):
+        with pytest.raises(ValueError, match="read-only"):
+            bad()
+        assert [x.hex() for x in (*integrate(spec), *integrate_semi_infinite(tail))] == want
+
+
+def test_signed_zero_ends_change_nothing():
+    # 0.0 and -0.0 compare equal as cache keys; integrate takes -0.0 as 0.0,
+    # so either end gives the same value, error or QuadratureError, cold or
+    # after the other.
+    def outcome(a, b, f):
+        try:
+            return [x.hex() for x in integrate(QuadratureSpec(f, a, b))]
+        except QuadratureError as exc:
+            return [str(exc), repr(exc.best), repr(exc.error)]
+
+    nan = lambda x: np.full_like(x, math.nan)
+    for f in (np.exp, nan):
+        for one, other in (((0.0, 1.0), (-0.0, 1.0)), ((-1.0, 0.0), (-1.0, -0.0))):
+            seen = []
+            for first, second in ((one, other), (other, one)):
+                _geometry.cache_clear()
+                seen += [outcome(*first, f), outcome(*second, f)]
+            assert all(x == seen[0] for x in seen), (f, one, seen)
+
+
+def test_geometry_cache_stays_bounded():
+    _geometry.cache_clear()
+    for k in range(200):
+        integrate(QuadratureSpec(np.exp, 0.0, 1.0 + k))
+    assert _geometry.cache_info().maxsize == 16
+    assert _geometry.cache_info().currsize <= 16
+
+
 def test_too_narrow_panel_raises_with_best_estimate():
     # (1 + r)^(-3/2) dr behaves as (1 - t)^(-1/2) at t = 1 under the tangent
     # map.  Bisection reaches panels whose nodes round onto the endpoint; the
@@ -580,15 +656,15 @@ def test_racah_trivial_and_selection():
     assert racah_3j(0, 0, 0, 0, 0, 0).square == 1
     assert racah_3j(0, 0, 0, 0, 0, 0).sign == 1
     assert racah_3j(1, 1, 5, 0, 0, 0).sign == 0
-    with pytest.raises(ValueError):
-        racah_3j(21, 21, 21, 0, 0, 0)
+    with pytest.raises(ValueError, match="j <= 40"):
+        racah_3j(41, 41, 41, 0, 0, 0)
 
 
 def test_racah_agrees_with_library_path():
     # The float 3-j chain of the angular purity against the same sum with
     # each term from the Racah formula in exact rationals, for every (l, m)
-    # with l <= 10 (l' = 2l reaches the oracle's bound 20).
-    for l in range(0, 11):
+    # with l <= 11, every l of a state with n <= 12 (l' = 2l reaches 22).
+    for l in range(0, 12):
         for m in range(-l, l + 1):
             exact = float(angular_purity_exact(l, m)) / (4 * math.pi)
             assert math.isclose(angular_sum(l, m), exact, rel_tol=1e-15), (l, m)

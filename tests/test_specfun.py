@@ -1,9 +1,12 @@
 import math
+import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hydrolens.specfun import _sectoral_seed, spherical_harmonic_sq
+from hydrolens.specfun import _recurrence, _scaled_seed, _sectoral_seed, spherical_harmonic_sq
 
 # Degrees for the large-l checks: every l <= 12 and spot degrees past the
 # l + |m| = 171 at which (l + |m|)! overflows a float.
@@ -48,16 +51,22 @@ def test_spherical_harmonic_sq_unsold_identity():
 
 
 def _inline_seed_recurrence(l, m, theta):
-    """spherical_harmonic_sq with its seed product formed on every call."""
+    """spherical_harmonic_sq with its seed product and every a_k formed on
+    each call, from _scaled_seed where the plain seed is subnormal."""
     m = abs(m)
     x, s = math.cos(theta), math.sin(theta)
     seed = (2 * m + 1) / (4.0 * math.pi) * math.prod(
         (2 * i - 1) / (2 * i) for i in range(1, m + 1))
-    y, y_prev, a_prev = math.sqrt(seed) * s ** m, 0.0, 1.0
+    y, e = math.sqrt(seed) * s ** m, 0
+    if y < sys.float_info.min and -sys.float_info.min < y:
+        y, e = _scaled_seed(m, s)
+    y_prev, a_prev = 0.0, 1.0
     for k in range(m + 1, l + 1):
         a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
         y, y_prev, a_prev = a * (x * y - y_prev / a_prev), y, a
-    return y * y
+        if e and not -2.0 ** 400 < y < 2.0 ** 400:
+            y, y_prev, e = y * 2.0 ** -400, y_prev * 2.0 ** -400, e + 400
+    return math.ldexp(y * y, 2 * e)
 
 
 def test_seed_cache_keeps_the_bits():
@@ -70,6 +79,65 @@ def test_seed_cache_keeps_the_bits():
             got = spherical_harmonic_sq(l, sign * m, 0.7)
             assert got.hex() == _inline_seed_recurrence(l, m, 0.7).hex(), (l, m)
     assert _sectoral_seed.cache_info().currsize <= 201
+
+
+def test_coefficient_cache_keeps_the_bits_cold_and_warm():
+    # The a_k cached per (l, |m|) give the bits of the recurrence that forms
+    # them on every call, at seeded (l, +-m, theta) to l = 1000 and on the
+    # scaled-seed path (m >= 300 near a pole, where sin^m underflows), from a
+    # cold cache and from one warmed at -m and another angle.
+    rng = random.Random(35)
+    cases = []
+    for _ in range(300):
+        l = rng.randint(0, 1000)
+        cases.append((l, rng.randint(-l, l), rng.uniform(0.0, math.pi)))
+    for _ in range(150):
+        l = rng.randint(300, 1000)
+        m, t = rng.choice((-1, 1)) * rng.randint(300, l), rng.uniform(0.0, 0.2)
+        cases.append((l, m, rng.choice((t, math.pi - t))))
+    cases += [(3126, m, t) for m in (1042, -1042) for t in (0.05, 0.2, 0.35, math.pi - 0.1)]
+    scaled = sum(_sectoral_seed(abs(m)) * math.sin(t) ** abs(m) < sys.float_info.min
+                 for _, m, t in cases)
+    assert scaled >= 100
+    want = [_inline_seed_recurrence(*case).hex() for case in cases]
+    cold, warm = [], []
+    for l, m, t in cases:
+        _recurrence.cache_clear()
+        cold.append(spherical_harmonic_sq(l, m, t).hex())
+        spherical_harmonic_sq(l, -m, 1.0)
+        warm.append(spherical_harmonic_sq(l, m, t).hex())
+    assert cold == want
+    assert warm == want
+    # A numpy integer m gives the same float, whichever type filled the cache.
+    for first in (2, np.int64(2)):
+        _recurrence.cache_clear()
+        spherical_harmonic_sq(4, first, 1.0)
+        for m in (2, np.int64(2), np.int64(-2)):
+            got = spherical_harmonic_sq(4, m, 0.3)
+            assert type(got) is float
+            assert got.hex() == _inline_seed_recurrence(4, 2, 0.3).hex()
+
+
+def test_coefficient_cache_stays_bounded():
+    # At most 16 entries, each 79 kB at l = 1000 (the _recurrence docstring),
+    # and |m| > l refused by its signed m on every call, cached or not.
+    _recurrence.cache_clear()
+    for l in range(40):
+        for m in range(-l, l + 1):
+            spherical_harmonic_sq(l, m, 0.3)
+    assert _recurrence.cache_info().maxsize == 16
+    assert _recurrence.cache_info().currsize <= 16
+    _recurrence.cache_clear()
+    tracemalloc.start()
+    try:
+        _recurrence(1000, 0)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size < 90_000
+    for _ in range(2):
+        with pytest.raises(ValueError, match="l=1, m=-2"):
+            spherical_harmonic_sq(1, -2, 0.5)
 
 
 def test_normalisation_past_seed_underflow():
